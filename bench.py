@@ -9,9 +9,12 @@ Prints ONE JSON line:
   {"metric": "frontier_crawl_sec", "value": <sec>, "unit": "sec",
    "queries": {...}, "sf": ..., "num_cpus": N, "urls_per_sec": ...}
 
---scaling: runs the headline crawl in fresh processes at 8 and 32
-CPUs on the same input and reports both throughputs + scaling
-efficiency (the sandbox evidence for the N vs 4N cluster criterion).
+--scaling [--levels LO,HI]: runs the headline crawl in fresh
+processes at LO and HI CPUs (default 8,32) on the same input and
+reports both throughputs + scaling efficiency (the sandbox evidence
+for the N vs 4N cluster criterion), with the box it ran on.  Pick
+levels that fit the box, e.g. ``--levels 2,4`` on 4 CPUs (a 1-CPU
+session cannot fit the 1-CPU offer task beside the frontier actors).
 """
 
 from __future__ import annotations
@@ -190,8 +193,7 @@ def run_crawl_bench(num_partitions: int = 16,
         salted_hosts={"host00.bench.org": max(2, num_partitions // 2)},
         fetch_concurrency=max(2, NUM_CPUS // 2),
         parse_concurrency=max(2, NUM_CPUS),
-        batch_size=2048, verify_pixels=True,
-        num_blocks=max(8, 2 * NUM_CPUS), drop_bytes=True,
+        batch_size=2048, verify_pixels=True, drop_bytes=True,
         frontier_capacity=1 << 19)
     recs = out["records"]
     from ray.data.aggregate import Sum
@@ -403,8 +405,19 @@ def main():
     ray.shutdown()
 
 
-def scaling():
-    """N vs 4N parallelism in fresh processes on the SAME input.
+def box_state() -> dict:
+    """The machine a scaling pair ran on: logical CPUs, RAM, load."""
+    try:
+        with open("/proc/meminfo") as f:
+            mem_kb = int(f.readline().split()[1])
+    except (OSError, ValueError, IndexError):  # non-Linux fallback
+        mem_kb = -1
+    return {"logical_cpus": os.cpu_count(), "mem_gb": round(mem_kb / 2**20, 1),
+            "loadavg_1m": loadavg_1m()}
+
+
+def scaling(levels=(8, 32)):
+    """LO vs HI parallelism in fresh processes on the SAME input.
 
     Sandbox evidence for the cluster-size criterion (no real multi-node
     cluster here).  Note the structural caveat recorded in BASELINE.md:
@@ -427,11 +440,13 @@ def scaling():
     build_bench_corpus()       # warm the disk cache for the warm-up...
     build_bench_corpus(mult)   # ...and for the measured frontier
     reps = int(os.environ.get("BENCH_SCALING_REPS", "3"))
-    results: dict[int, list] = {8: [], 32: []}
+    lo, hi = levels
+    box_start = box_state()
+    results: dict[int, list] = {lo: [], hi: []}
     for _ in range(reps):
         # interleave levels per rep so slow ambient drift (this box is
         # a shared VM) hits both levels, not just one
-        for ncpu in (8, 32):
+        for ncpu in (lo, hi):
             env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu),
                        BENCH_SKIP_QUERIES="1",
                        BENCH_SKIP_ITER="1",
@@ -450,16 +465,18 @@ def scaling():
     # external noise (neighbor VMs, ray worker startup storms) only ever
     # LOWERS a run's throughput, so the per-level max over reps is the
     # least-biased estimate of true capability at that level
-    tput8 = max(r["urls_per_sec"] for r in results[8])
-    tput32 = max(r["urls_per_sec"] for r in results[32])
-    eff = (tput32 / tput8) / (32 / 8)
+    tput_lo = max(r["urls_per_sec"] for r in results[lo])
+    tput_hi = max(r["urls_per_sec"] for r in results[hi])
+    eff = (tput_hi / tput_lo) / (hi / lo)
     print(json.dumps({
-        "urls_per_sec_8": tput8, "urls_per_sec_32": tput32,
-        "reps_8": [r["urls_per_sec"] for r in results[8]],
-        "reps_32": [r["urls_per_sec"] for r in results[32]],
+        "levels": [lo, hi],
+        f"urls_per_sec_{lo}": tput_lo, f"urls_per_sec_{hi}": tput_hi,
+        f"reps_{lo}": [r["urls_per_sec"] for r in results[lo]],
+        f"reps_{hi}": [r["urls_per_sec"] for r in results[hi]],
         "scaling_efficiency": round(eff, 3),
-        "frontier_urls": results[32][0]["urls"],
+        "frontier_urls": results[hi][0]["urls"],
         "seed_mult": mult,
+        "box_start": box_start, "box_end": box_state(),
         "note": "same-box CPU pair, best of %d reps per level on a"
                 " seed_mult=%d frontier (headline default 500;"
                 " steady-state - fixed spin-up excluded by job length,"
@@ -504,7 +521,11 @@ def probe():
 
 if __name__ == "__main__":
     if "--scaling" in sys.argv:
-        scaling()
+        if "--levels" in sys.argv:
+            arg = sys.argv[sys.argv.index("--levels") + 1]
+            scaling(tuple(int(x) for x in arg.split(",")))
+        else:
+            scaling()
     elif "--probe" in sys.argv:
         probe()
     else:

@@ -549,6 +549,12 @@ class FrontierPartition:
         interleave is imposed downstream by sorting on
         ``(round, host, pop_idx)``, exactly as the per-round loop of
         the simulator produces it.
+
+        That key is NOT unique for a salted host: each of its
+        sub-queues numbers its pops from 0, so rows of different
+        sub-queues tie.  Order comparisons must add ``url`` as a
+        tiebreak or rely on the stream's preserved order (see
+        ``pipelines.crawl.drain_admissions_chunked``).
         """
         rounds_out: list[np.ndarray] = []
         pops_out: list[np.ndarray] = []

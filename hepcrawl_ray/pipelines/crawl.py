@@ -30,7 +30,7 @@ import pyarrow as pa
 
 from hepcrawl_ray import urlkit
 from hepcrawl_ray.frontier import FrontierPartition, canonicalize_batch
-from hepcrawl_ray.stages import FetchParseStage, FetchStage, ParseStage
+from hepcrawl_ray.stages import FetchParseStage
 
 
 def _make_router(actors, num_partitions, salted_hosts=None):
@@ -150,95 +150,135 @@ def drain_admissions_chunked(actors, target_rows=1 << 18, seal=True):
     queue's closed form continues from its virtual clock).
 
     The tables are never fetched to the driver — the per-chunk refs
-    feed ``from_arrow_refs`` directly."""
+    feed ``from_arrow_refs`` directly.
+
+    ``(round, host, pop_idx)`` is NOT unique: a salted host's
+    sub-queues each number their pops from 0, so their rows tie on
+    it.  Order comparisons must add ``url`` as a tiebreak or rely on
+    block order, which is partition-major (each partition's chunks in
+    drain order, partitions in actor order).  That makes a stable
+    sort on the key give the same rows in the same order at any
+    ``target_rows``: ties between partitions keep actor order, and
+    ties inside one partition fall in the same chunk (a chunk is a
+    round range), where queues keep their sorted order."""
     import ray
 
     if seal:
         ray.get([a.seal.remote() for a in actors])
-    live = list(actors)
-    refs = []
+    chunks = [[] for _ in actors]
+    live = list(range(len(actors)))
     while live:
-        refs.extend(a.drain_chunk.remote(target_rows) for a in live)
+        for i in live:
+            chunks[i].append(actors[i].drain_chunk.remote(target_rows))
         # pending() runs after drain_chunk on each actor (actor tasks
         # are ordered), so it reflects the post-chunk queue state;
         # finished partitions drop out of the next round
-        pend = ray.get([a.pending.remote() for a in live])
-        live = [a for a, p in zip(live, pend) if p > 0]
-    return ray.data.from_arrow_refs(refs)
+        pend = ray.get([actors[i].pending.remote() for i in live])
+        live = [i for i, p in zip(live, pend) if p > 0]
+    return ray.data.from_arrow_refs([r for refs in chunks for r in refs])
+
+
+# CPU reservation of each fused fetch+parse actor
+POOL_ACTOR_CPUS = 0.5
+
+
+def _fused_pool_size(want):
+    """Actors for the fused fetch+parse pool: ``want``, capped by the
+    CPUs free when the stream is built.  Fixed size, because
+    autoscaling from 1 adds one actor per ~1-2 s actor start-up, too
+    slowly for a CPU-bound stage.  The frontier actors already hold
+    their CPUs and the pool's input is materialized refs, so nothing
+    upstream needs one.
+
+    ALSO capped at max(8, cpus/2): the zlib-dominated decode is
+    memory-streaming, and measured throughput at 32 CPUs is ~15%
+    HIGHER with 16 actors than 32 (less shared-DRAM thrash), while
+    <= 8-CPU sessions are compute-bound and want every core.
+
+    ``from_arrow_refs`` reads block metadata with 1-CPU tasks whose
+    leases show as busy for up to ~0.1 s after it returns, so poll
+    (at most 0.25 s) until the pool fits or takes all but one actor's
+    share of the session, rather than size the whole stream around a
+    lease about to go away."""
+    import time
+
+    import ray
+
+    total = ray.cluster_resources().get("CPU", 8)
+    want = max(1, min(want, max(8, int(total) // 2)))
+    enough = min(want, int(total / POOL_ACTOR_CPUS) - 1)
+    deadline = time.monotonic() + 0.25
+    while True:
+        fits = int(ray.available_resources().get("CPU", 0.0)
+                   / POOL_ACTOR_CPUS)
+        if fits >= enough or time.monotonic() >= deadline:
+            return max(1, min(want, fits))
+        time.sleep(0.01)
 
 
 def fetch_and_parse(admissions_ds, images, *, fetch_concurrency=4,
                     parse_concurrency=4, batch_size=1024,
-                    verify_pixels=True, num_blocks=None, drop_bytes=False,
-                    fuse=True):
-    """The streaming fetch -> parse pipeline over admission rows.
-
-    ``num_blocks``: admissions arrive as one block per frontier
-    partition; re-split so the fetch/parse actor pools can reach their
-    full concurrency (blocks gate task parallelism).
+                    verify_pixels=True, drop_bytes=False):
+    """The streaming fetch+parse pipeline over admission rows: ONE
+    fused actor pool (stages.FetchParseStage), so payload bytes never
+    transit the object store between stages.
 
     ``images`` may be a pyarrow Table (small corpus — broadcast to
     every fetch actor) or a parquet path/dir (STORED corpus — actors
     do keyed row-group lookups and hold O(batch) rows, see
     stages.KeyedFetchStage; this is the only shape that survives a
-    corpus that doesn't fit one worker's heap)."""
+    corpus that doesn't fit one worker's heap).
+
+    The pool is only as wide as its input block count (a task never
+    spans blocks), and a few big blocks leave actors idle while the
+    largest finishes.  Feed it blocks of about ``batch_size`` rows
+    (run_crawl drains in chunks of that size).  The returned Dataset
+    keeps its input block order, so output row order is the same at
+    any pool width."""
     import ray
+    from ray.data.dataset import MaterializedDataset
 
     images_ref = images if isinstance(images, (str, list, tuple)) \
         else ray.put(images)
-    if num_blocks:
-        admissions_ds = admissions_ds.repartition(num_blocks)
-    if fuse:
-        # fetch+parse in ONE actor: payload bytes never transit the
-        # object store between stages (see stages.FetchParseStage).
-        # Fixed pool size (autoscaling-from-1 ramps too slowly for a
-        # CPU-bound stage), capped so the pool can't reserve every CPU
-        # and starve upstream tasks.  ALSO capped at max(8, cpus/2):
-        # the zlib-dominated decode is memory-streaming, and measured
-        # throughput at 32 CPUs is ~15% HIGHER with 16 actors than 32
-        # (less shared-DRAM thrash), while <= 8-CPU sessions are
-        # compute-bound and want every core.
-        avail = ray.cluster_resources().get("CPU", 8)
-        cap = max(1, int((avail - 1.5) / 0.5))
-        contention_cap = max(8, int(avail) // 2)
-        n_actors = max(1, min(max(fetch_concurrency, parse_concurrency),
-                              cap, contention_cap))
-        return admissions_ds.map_batches(
-            FetchParseStage,
-            fn_constructor_args=(images_ref, verify_pixels, drop_bytes),
-            batch_format="pyarrow", batch_size=batch_size,
-            concurrency=n_actors, num_cpus=0.5,
-            max_restarts=0)  # ctor args hold an ObjectRef; Ray Data
-                             # retries tasks itself (ray#53727 warning)
-    from hepcrawl_ray.stages import KeyedFetchStage
-
-    fetch_cls = KeyedFetchStage if isinstance(images_ref, (str, list, tuple)) \
-        else FetchStage
-    return (
-        admissions_ds
-        .map_batches(fetch_cls, fn_constructor_args=(images_ref,),
-                     batch_format="pyarrow", batch_size=batch_size,
-                     concurrency=(1, fetch_concurrency), num_cpus=0.5)
-        .map_batches(ParseStage, fn_constructor_args=(verify_pixels, drop_bytes),
-                     batch_format="pyarrow", batch_size=batch_size,
-                     concurrency=(1, parse_concurrency), num_cpus=0.5)
-    )
+    want = max(fetch_concurrency, parse_concurrency)
+    if isinstance(admissions_ds, MaterializedDataset):
+        want = min(want, admissions_ds.num_blocks())
+    n_actors = _fused_pool_size(want)
+    records = admissions_ds.map_batches(
+        FetchParseStage,
+        fn_constructor_args=(images_ref, verify_pixels, drop_bytes),
+        batch_format="pyarrow", batch_size=batch_size,
+        concurrency=n_actors, num_cpus=POOL_ACTOR_CPUS,
+        max_restarts=0)  # ctor args hold an ObjectRef; Ray Data
+                         # retries tasks itself (ray#53727 warning)
+    # set on this Dataset's own context, not the global one:
+    # - a parallel pool finishes blocks out of order; keep drain order
+    # - Ray Data queues up to 4 tasks on the first ready actor, so
+    #   partition-sized blocks would run back to back on one actor;
+    #   dispatch one at a time to whichever actor is idle
+    ctx = records.context
+    ctx.execution_options.preserve_order = True
+    ctx.max_tasks_in_flight_per_actor = 1
+    return records
 
 
 def run_crawl(images, seeds, politeness, *, num_partitions=4,
               salted_hosts=None, output_dir=None, checkpoint_dir=None,
               fetch_concurrency=4, parse_concurrency=4,
-              batch_size=1024, verify_pixels=True, num_blocks=None,
+              batch_size=1024, verify_pixels=True,
               drop_bytes=False, frontier_capacity=1 << 17,
-              drain_chunk_rows=1 << 18, spill_dir=None,
+              drain_chunk_rows="batch_size", spill_dir=None,
               spill_threshold_rows=None):
     """Full crawl.  Returns dict with the records Dataset and metrics.
 
     ``drain_chunk_rows``: admissions leave each frontier partition in
     ≈-this-many-row chunks (bounded blocks, see
-    :func:`drain_admissions_chunked`); ``None`` drains each partition's
-    whole schedule in one fused seal+drain call (one block per
-    partition — fine at test scale, unbounded at 10^10 URLs)."""
+    :func:`drain_admissions_chunked`).  The default, ``"batch_size"``,
+    drains in chunks of the fetch+parse pool's own ``batch_size``, so
+    the pool sees many blocks and runs at full width (see
+    :func:`fetch_and_parse`).  ``None`` drains each partition's whole
+    schedule in one fused seal+drain call (one block per partition —
+    fine at test scale, unbounded at 10^10 URLs)."""
     import ray
 
     pol_rows = politeness.to_pylist() if isinstance(politeness, pa.Table) \
@@ -252,6 +292,8 @@ def run_crawl(images, seeds, politeness, *, num_partitions=4,
     if checkpoint_dir:
         ray.get([a.seal.remote() for a in actors])
         ray.get([a.checkpoint.remote(checkpoint_dir) for a in actors])
+    if drain_chunk_rows == "batch_size":
+        drain_chunk_rows = batch_size
     if drain_chunk_rows is None:
         admissions = drain_admissions(actors, seal=True)
     else:
@@ -260,10 +302,12 @@ def run_crawl(images, seeds, politeness, *, num_partitions=4,
     records = fetch_and_parse(
         admissions, images, fetch_concurrency=fetch_concurrency,
         parse_concurrency=parse_concurrency, batch_size=batch_size,
-        verify_pixels=verify_pixels, num_blocks=num_blocks,
-        drop_bytes=drop_bytes)
+        verify_pixels=verify_pixels, drop_bytes=drop_bytes)
     if output_dir:
-        records.write_parquet(output_dir)
+        # 0-CPU write tasks: the pool holds the free CPUs until its
+        # input is done, and a 1-CPU write queued behind it deadlocks
+        # the stream once the pool's output fills the object store
+        records.write_parquet(output_dir, ray_remote_args={"num_cpus": 0})
         records = ray.data.read_parquet(output_dir)
     metrics = ray.get([a.get_metrics.remote() for a in actors])
     for a in actors:

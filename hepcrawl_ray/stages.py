@@ -250,9 +250,9 @@ class FetchParseStage:
 
     Payload bytes are gathered AND consumed (decode/verify) inside the
     same actor, so multi-KB blobs never transit the object store
-    between stages — at 4M URLs that hop alone is ~7 GB.  Keep the
-    split stages only when fetch and parse need different resources
-    (e.g. parse on GPU).
+    between stages — at 4M URLs that hop alone is ~7 GB.  It is the
+    only fetch+parse pipeline shape (pipelines.crawl.fetch_and_parse);
+    the fetch and parse stages it composes stay separate classes.
     """
 
     def __init__(self, images_ref, verify_pixels: bool = True,

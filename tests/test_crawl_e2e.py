@@ -8,6 +8,8 @@ BASELINE.json (PSNR >= 40 dB lossy / exact lossless + caption
 equality).
 """
 
+import collections
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -165,3 +167,94 @@ class TestResumeThroughRay:
         key = [("round", "ascending"), ("host", "ascending"),
                ("pop_idx", "ascending")]
         assert resumed.sort_by(key).equals(full.sort_by(key))
+
+
+SALTED = {"host0.example.org": 2}   # the fixture's hot host
+
+
+@pytest.fixture(scope="module")
+def wide_seeds(corpus):
+    """6,000 distinct URLs over the corpus images, half on the hot host:
+    enough fetch+parse work (seconds) that a 3-actor pool really runs
+    blocks side by side."""
+    images = corpus[0]
+    ids = images.column("image_id").to_pylist()
+    n = 6000
+    rng = np.random.default_rng(7)
+    hosts = np.where(rng.random(n) < 0.5, 0, rng.integers(1, 6, n))
+    return pa.table({
+        "url": [f"http://host{h}.example.org/set{i % 3}/r{i}/"
+                f"{ids[i % len(ids)]}" for i, h in enumerate(hosts)],
+        "host": [f"host{h}.example.org" for h in hosts],
+        "set_id": [f"set{i % 3}" for i in range(n)],
+        "priority": np.zeros(n),
+        "seq": np.arange(n, dtype=np.int64),
+        "mtime": np.full(n, 1000, dtype=np.int64),
+        "dup_of": pa.nulls(n, pa.string()),
+    }, schema=synth.SEEDS_SCHEMA)
+
+
+def _records(out):
+    return pa.concat_tables(out["records"].iter_batches(
+        batch_size=None, batch_format="pyarrow"))
+
+
+class TestParallelPool:
+    def test_pool_width_keeps_row_order(self, ray_session, corpus,
+                                        wide_seeds, monkeypatch):
+        """A salted host's sub-queues tie on (round, host, pop_idx), so
+        only the stream's own order makes the output deterministic: a
+        1-actor and a 3-actor pool yield the same rows in the same
+        order, unsorted."""
+        import ray.data
+
+        images, _, _, politeness = corpus
+        # start every actor before the first task, so the 3-wide pool
+        # really runs blocks side by side instead of the first ready
+        # actor taking them all
+        monkeypatch.setattr(ray.data.DataContext.get_current(),
+                            "wait_for_min_actors_s", 120)
+
+        def run(width):
+            return _records(cp.run_crawl(
+                images, wide_seeds, politeness, num_partitions=3,
+                salted_hosts=SALTED, fetch_concurrency=width,
+                parse_concurrency=width, batch_size=256))
+
+        one, three = run(1), run(3)
+        assert one.num_rows == three.num_rows == wide_seeds.num_rows
+        assert one.equals(three)
+
+    def test_admissions_reach_pool_in_batch_sized_blocks(
+            self, ray_session, corpus, monkeypatch):
+        """run_crawl drains in chunks of the pool's batch_size: several
+        blocks per partition, none over batch_size plus drain_chunk's
+        slack (it rounds the row target up to whole virtual rounds, so
+        a chunk can overshoot by at most one round of every queue's
+        share, bounded here by the sum of all hosts' budgets)."""
+        images, _, seeds, politeness = corpus
+        batch_size = 8
+        seen = []
+        real = cp.fetch_and_parse
+
+        def spy(admissions, *args, **kwargs):
+            seen.append(admissions)
+            return real(admissions, *args, **kwargs)
+
+        monkeypatch.setattr(cp, "fetch_and_parse", spy)
+        out = cp.run_crawl(images, seeds, politeness, num_partitions=3,
+                           salted_hosts=SALTED, fetch_concurrency=2,
+                           parse_concurrency=2, batch_size=batch_size)
+        blocks = [b for b in seen[0].iter_batches(batch_size=None,
+                                                  batch_format="pyarrow")
+                  if b.num_rows]
+        slack = sum(politeness.column("max_concurrency").to_pylist())
+        per_part = collections.Counter()
+        for b in blocks:
+            parts = set(b.column("partition").to_pylist())
+            assert len(parts) == 1            # a block is one drain chunk
+            per_part[parts.pop()] += 1
+            assert b.num_rows <= batch_size + slack
+        assert sorted(per_part) == [0, 1, 2]
+        assert min(per_part.values()) > 1
+        assert _records(out).num_rows == sum(b.num_rows for b in blocks)
