@@ -230,7 +230,7 @@ def run_iterative_bench(n_urls: int | None = None, n_hosts: int = 32,
     every admitted URL yields 3 children (adjacent nodes share one, so
     ~1/3 of discovered links are cross-batch duplicates the seen-set
     must absorb).  Runs the PRODUCTION in-stage discovery path
-    (stages.DiscoverRouteStage default of run_iterative_crawl):
+    (stages.DiscoverRouteStage in run_iterative_crawl's workers):
     worker->actor link routing, per-round seal barriers only."""
     import pyarrow as pa
 

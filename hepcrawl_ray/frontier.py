@@ -143,6 +143,20 @@ def route_partition_ids(hosts, url_hashes, num_partitions: int,
     return parts
 
 
+def offer_routed(actors, offers: pa.Table, num_partitions: int,
+                 salted_hosts: dict[str, int] | None = None) -> list:
+    """Send each frontier actor its slice of a canonical OFFER_SCHEMA
+    table (split by :func:`route_partition_ids`).  Returns the
+    ``offer`` refs: ``ray.get`` them when delivery must precede the
+    next seal, or drop them and poll ``buffered_rows`` (duplicate
+    delivery on a task retry is safe — admission dedups)."""
+    parts = route_partition_ids(offers.column("host").to_pylist(),
+                                offers.column("url_hash").to_numpy(),
+                                num_partitions, salted_hosts)
+    return [actors[int(p)].offer.remote(offers.filter(pa.array(parts == p)))
+            for p in np.unique(parts)]
+
+
 def parse_robots_rules(text: str, user_agent: str = "*") \
         -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Extract (Disallow, Allow) path patterns from a robots.txt body.
@@ -621,11 +635,6 @@ class FrontierPartition:
             "partition": np.full(n, self.part_id, dtype=np.int32),
         }, schema=ADMIT_SCHEMA)
         return out
-
-    def seal_and_drain(self, max_rounds: int | None = None) -> pa.Table:
-        """Fused seal + drain (one actor round-trip instead of two)."""
-        self.seal()
-        return self.drain(max_rounds)
 
     def admit_rate(self) -> float:
         """Closed-form admissions-per-virtual-round over active queues

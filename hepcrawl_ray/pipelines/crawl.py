@@ -28,31 +28,12 @@ import os
 import numpy as np
 import pyarrow as pa
 
-from hepcrawl_ray import urlkit
-from hepcrawl_ray.frontier import FrontierPartition, canonicalize_batch
+from hepcrawl_ray.frontier import (
+    FrontierPartition,
+    canonicalize_batch,
+    offer_routed,
+)
 from hepcrawl_ray.stages import FetchParseStage
-
-
-def _make_router(actors, num_partitions, salted_hosts=None):
-    """Stateless map_batches body: split a canonical-offer batch by host
-    partition (salt-aware for hot hosts) and push each slice to its
-    frontier actor."""
-    import ray
-
-    from hepcrawl_ray.frontier import route_partition_ids
-
-    def route(batch: pa.Table) -> pa.Table:
-        parts = route_partition_ids(batch.column("host").to_pylist(),
-                                    batch.column("url_hash").to_numpy(),
-                                    num_partitions, salted_hosts)
-        for p in np.unique(parts):
-            sub = batch.filter(pa.array(parts == p))
-            actors[int(p)].offer.remote(sub)
-        # fire-and-forget: the driver polls delivered counts before seal
-        # (duplicate delivery on task retry is safe — admission dedups)
-        return pa.table({"offered": [batch.num_rows]})
-
-    return route
 
 
 def start_frontier(politeness_rows, num_partitions=4, salted_hosts=None,
@@ -96,10 +77,10 @@ def offer_seeds(actors, seeds, num_partitions, offer_batch_size=65536,
         # small seed table: one Dataset pass costs ~1.4 s fixed
         # latency (lesson 15) — dominant for an iterative crawl whose
         # seed list is a handful of roots.  Canonicalize driver-side
-        # and push directly; offer_tables awaits delivery, which is
-        # the same barrier the polling loop below provides.
-        offers = canonicalize_batch(seeds)
-        offer_tables(actors, offers, num_partitions, salted_hosts)
+        # and await delivery, the barrier the polling loop below
+        # provides for the Dataset path.
+        ray.get(offer_routed(actors, canonicalize_batch(seeds),
+                             num_partitions, salted_hosts))
         return seeds.num_rows
     if isinstance(seeds, pa.Table):
         # from_arrow(table) is ONE block -> single-task map stages; slice
@@ -111,10 +92,15 @@ def offer_seeds(actors, seeds, num_partitions, offer_batch_size=65536,
         ds = ray.data.from_arrow_refs(refs)
     else:
         ds = ray.data.read_parquet(seeds)
-    route = _make_router(actors, num_partitions, salted_hosts)
 
     def canonicalize_and_route(batch: pa.Table) -> pa.Table:
-        return route(canonicalize_batch(batch))
+        # fire-and-forget: the driver polls delivered counts before
+        # seal.  Awaiting the refs here cost ~1/3 of perfbench
+        # frontier_dense's URLs/s on a 4-CPU box (a task blocked in
+        # ray.get gives up its CPU)
+        offer_routed(actors, canonicalize_batch(batch), num_partitions,
+                     salted_hosts)
+        return pa.table({"offered": [batch.num_rows]})
 
     routed = ds.map_batches(canonicalize_and_route, batch_format="pyarrow",
                             batch_size=offer_batch_size)
@@ -124,20 +110,6 @@ def offer_seeds(actors, seeds, num_partitions, offer_batch_size=65536,
     while sum(ray.get([a.buffered_rows.remote() for a in actors])) < total:
         _time.sleep(0.02)
     return total
-
-
-def drain_admissions(actors, max_rounds=None, seal=False):
-    """Drain all partitions in parallel; returns a Dataset of admissions
-    in explicit (round, host, pop_idx) order columns.  ``seal=True``
-    fuses the seal into the same actor call (offer_seeds leaves actors
-    unsealed)."""
-    import ray
-
-    if seal:
-        refs = [a.seal_and_drain.remote(max_rounds) for a in actors]
-    else:
-        refs = [a.drain.remote(max_rounds) for a in actors]
-    return ray.data.from_arrow_refs(refs)
 
 
 def drain_admissions_chunked(actors, target_rows=1 << 18, seal=True):
@@ -267,18 +239,14 @@ def run_crawl(images, seeds, politeness, *, num_partitions=4,
               fetch_concurrency=4, parse_concurrency=4,
               batch_size=1024, verify_pixels=True,
               drop_bytes=False, frontier_capacity=1 << 17,
-              drain_chunk_rows="batch_size", spill_dir=None,
-              spill_threshold_rows=None):
+              spill_dir=None, spill_threshold_rows=None):
     """Full crawl.  Returns dict with the records Dataset and metrics.
 
-    ``drain_chunk_rows``: admissions leave each frontier partition in
-    ≈-this-many-row chunks (bounded blocks, see
-    :func:`drain_admissions_chunked`).  The default, ``"batch_size"``,
-    drains in chunks of the fetch+parse pool's own ``batch_size``, so
-    the pool sees many blocks and runs at full width (see
-    :func:`fetch_and_parse`).  ``None`` drains each partition's whole
-    schedule in one fused seal+drain call (one block per partition —
-    fine at test scale, unbounded at 10^10 URLs)."""
+    One path: offer the seeds, seal once, checkpoint the sealed
+    frontier if ``checkpoint_dir`` is set, then drain admissions in
+    chunks of the fetch+parse pool's own ``batch_size`` (bounded
+    blocks, see :func:`drain_admissions_chunked`), so the pool sees
+    many blocks and runs at full width (see :func:`fetch_and_parse`)."""
     import ray
 
     pol_rows = politeness.to_pylist() if isinstance(politeness, pa.Table) \
@@ -289,16 +257,11 @@ def run_crawl(images, seeds, politeness, *, num_partitions=4,
                             spill_threshold_rows=spill_threshold_rows)
     offered = offer_seeds(actors, seeds, num_partitions,
                           salted_hosts=salted_hosts)
+    ray.get([a.seal.remote() for a in actors])
     if checkpoint_dir:
-        ray.get([a.seal.remote() for a in actors])
         ray.get([a.checkpoint.remote(checkpoint_dir) for a in actors])
-    if drain_chunk_rows == "batch_size":
-        drain_chunk_rows = batch_size
-    if drain_chunk_rows is None:
-        admissions = drain_admissions(actors, seal=True)
-    else:
-        admissions = drain_admissions_chunked(actors,
-                                              target_rows=drain_chunk_rows)
+    admissions = drain_admissions_chunked(actors, target_rows=batch_size,
+                                          seal=False)
     records = fetch_and_parse(
         admissions, images, fetch_concurrency=fetch_concurrency,
         parse_concurrency=parse_concurrency, batch_size=batch_size,
@@ -315,22 +278,9 @@ def run_crawl(images, seeds, politeness, *, num_partitions=4,
     return {"records": records, "metrics": metrics, "offered": offered}
 
 
-def offer_tables(actors, offer_table, num_partitions, salted_hosts=None):
-    """Route an already-canonicalized OFFER_SCHEMA table to the actors
-    (driver-side helper for small mid-crawl offers; the seed stream
-    goes through offer_seeds' dataset path)."""
-    import ray
-
-    from hepcrawl_ray.frontier import route_partition_ids
-
-    parts = route_partition_ids(offer_table.column("host").to_pylist(),
-                                offer_table.column("url_hash").to_numpy(),
-                                num_partitions, salted_hosts)
-    pending = []
-    for p in np.unique(parts):
-        sub = offer_table.filter(pa.array(parts == p))
-        pending.append(actors[int(p)].offer.remote(sub))
-    ray.get(pending)
+# discover workers per iterative crawl: offer fan-in serializes on the
+# frontier actors' inboxes, so more senders is slower (lesson 28)
+N_DISCOVER_WORKERS = 4
 
 
 class _DiscoverWorker:
@@ -342,12 +292,9 @@ class _DiscoverWorker:
                  salted_hosts, discover_batch_fn=None):
         from hepcrawl_ray.stages import DiscoverRouteStage
 
-        # buffered: offers accumulate per worker and deliver as ONE
-        # merged table per partition at flush() — the per-chunk offer
-        # fan-in serialized on the frontier actors' inboxes (lesson 28)
         self.stage = DiscoverRouteStage(
             discover_fn, actors, num_partitions, salted_hosts,
-            discover_batch_fn=discover_batch_fn, buffered=True)
+            discover_batch_fn=discover_batch_fn)
 
     def process(self, table: pa.Table) -> int:
         # extraction only — delivery happens at the caller's flush()
@@ -426,7 +373,6 @@ def _iter_restore(checkpoint_dir):
 def run_iterative_crawl(seeds, politeness, discover_fn, *,
                         num_partitions=4, salted_hosts=None,
                         rounds_per_iter=1, max_iters=100_000,
-                        in_stage=True, n_discover_workers=4,
                         discover_batch_fn=None, checkpoint_dir=None,
                         checkpoint_every=0, resume=False):
     """Crawl with mid-run URL discovery (the frontier LOOP).
@@ -446,16 +392,15 @@ def run_iterative_crawl(seeds, politeness, discover_fn, *,
     stays the executable spec and the two are equivalence-pinned in
     tests/test_sources_iterative.py.
 
-    ``in_stage=True`` (the DEFAULT — the production shape): each
-    iteration's admission table streams through a Dataset whose
-    :class:`~hepcrawl_ray.stages.DiscoverRouteStage` actors extract
-    links and push them to the frontier partitions directly
-    (worker -> actor, delivery awaited in-stage) — the driver only
-    runs the per-round seal barrier, never a per-row loop.  Admission
-    is decided over a seq-sorted view at seal, so both paths produce
-    the identical schedule (pinned in tests).  ``in_stage=False`` is
-    the driver-side loop kept as the oracle-exact executable spec for
-    the equivalence tests.
+    Each iteration's admission table is split over
+    ``N_DISCOVER_WORKERS`` persistent actors, each hosting a
+    :class:`~hepcrawl_ray.stages.DiscoverRouteStage` that extracts
+    links and pushes them to the frontier partitions directly
+    (worker -> actor, delivery awaited at the flush barrier) — the
+    driver only runs the per-round seal barrier, never a per-row
+    loop.  Admission is decided over a seq-sorted view at seal, so
+    arrival order cannot change the schedule; the spec is
+    ``sim.simulate_iterative`` (pinned in tests).
 
     ``checkpoint_dir`` + ``checkpoint_every=k``: every k iterations,
     after the seal barrier (a quiescent point: all of the round's
@@ -471,8 +416,6 @@ def run_iterative_crawl(seeds, politeness, discover_fn, *,
     tests/test_sources_iterative.py.
     """
     import ray
-
-    from hepcrawl_ray.stages import DiscoverRouteStage
 
     pol_rows = politeness.to_pylist() if isinstance(politeness, pa.Table) \
         else list(politeness)
@@ -502,16 +445,11 @@ def run_iterative_crawl(seeds, politeness, discover_fn, *,
     # PERSISTENT discover workers (created once, reused every
     # iteration): a fresh map_batches actor pool per iteration pays
     # ~2 s spin-up per streaming pass (CLAUDE.md lesson 15), which
-    # dominates an iterative crawl's wall clock.  Each worker hosts
-    # the same DiscoverRouteStage the fused fetch pipeline composes;
-    # arrival order is irrelevant because admission is decided over a
-    # seq-sorted view at seal (equivalence pinned in tests).
-    workers = []
-    if in_stage:
-        DW = ray.remote(num_cpus=0.25)(_DiscoverWorker)
-        workers = [DW.remote(discover_fn, actors, num_partitions,
-                             salted_hosts, discover_batch_fn)
-                   for _ in range(n_discover_workers)]
+    # dominates an iterative crawl's wall clock.
+    DW = ray.remote(num_cpus=0.25)(_DiscoverWorker)
+    workers = [DW.remote(discover_fn, actors, num_partitions,
+                         salted_hosts, discover_batch_fn)
+               for _ in range(N_DISCOVER_WORKERS)]
 
     for it in range(max_iters):
         tables = ray.get([a.drain.remote(rounds_per_iter) for a in actors])
@@ -522,43 +460,21 @@ def run_iterative_crawl(seeds, politeness, discover_fn, *,
             continue
         admissions.append(t)
         pending_ckpt.append(t)
-        if in_stage:
-            # discovery runs in the PERSISTENT workers (extraction
-            # only, offers buffered per worker); the flush barrier
-            # then delivers ONE merged offer table per (worker,
-            # partition) — n_workers × n_partitions inbox messages per
-            # iteration instead of one per 4096-row chunk (the fan-in
-            # that serialized on the actors' inboxes, lesson 28)
-            pending, k = [], 0
-            for tb in tables:
-                for s in range(0, tb.num_rows, 4096):
-                    pending.append(workers[k % len(workers)]
-                                   .process.remote(tb.slice(s, 4096)))
-                    k += 1
-            ray.get(pending)
-            ray.get([w.flush.remote() for w in workers])
-            ray.get([a.seal.remote() for a in actors])  # no-op if empty
-        else:
-            # discovery in deterministic admission order
-            t_sorted = t.sort_by([("round", "ascending"),
-                                  ("host", "ascending"),
-                                  ("pop_idx", "ascending")])
-            new_rows = []
-            for url, seq in zip(t_sorted.column("url").to_pylist(),
-                                t_sorted.column("seq").to_pylist()):
-                new_rows.extend(discover_fn(url, seq))
-            if new_rows:
-                raw = pa.table({
-                    "url": [r["url"] for r in new_rows],
-                    "priority": [float(r.get("priority", 0.0))
-                                 for r in new_rows],
-                    "seq": [int(r["seq"]) for r in new_rows],
-                    "mtime": [int(r.get("mtime", 0)) for r in new_rows],
-                    "set_id": [r.get("set_id", "") for r in new_rows],
-                })
-                offers = canonicalize_batch(raw)
-                offer_tables(actors, offers, num_partitions, salted_hosts)
-                ray.get([a.seal.remote() for a in actors])
+        # discovery runs in the PERSISTENT workers (extraction only,
+        # offers buffered per worker); the flush barrier then delivers
+        # ONE merged offer table per (worker, partition) —
+        # n_workers × n_partitions inbox messages per iteration instead
+        # of one per 4096-row chunk (the fan-in that serialized on the
+        # actors' inboxes, lesson 28)
+        pending, k = [], 0
+        for tb in tables:
+            for s in range(0, tb.num_rows, 4096):
+                pending.append(workers[k % len(workers)]
+                               .process.remote(tb.slice(s, 4096)))
+                k += 1
+        ray.get(pending)
+        ray.get([w.flush.remote() for w in workers])
+        ray.get([a.seal.remote() for a in actors])  # no-op if empty
         # quiescent point: round's offers delivered AND sealed
         if checkpoint_dir and checkpoint_every \
                 and (it + 1) % checkpoint_every == 0:

@@ -28,6 +28,7 @@ import pyarrow as pa
 
 from hepcrawl_ray import codecs, urlkit
 from hepcrawl_ray.caption import parse_caption_batch
+from hepcrawl_ray.frontier import canonicalize_batch, offer_routed
 from hepcrawl_ray.synth import GOLDEN_SCHEMA
 
 FETCH_ERROR_NOT_FOUND = "fetch failed: image not found"
@@ -256,7 +257,7 @@ class FetchParseStage:
     """
 
     def __init__(self, images_ref, verify_pixels: bool = True,
-                 drop_bytes: bool = False, discover_args=None):
+                 drop_bytes: bool = False):
         # a str/list ref is a STORED corpus -> keyed lookup (scale
         # path); a table/ObjectRef is the small-corpus broadcast
         self.fetch = (KeyedFetchStage(images_ref)
@@ -264,17 +265,9 @@ class FetchParseStage:
                       else FetchStage(images_ref))
         self.parse = ParseStage(verify_pixels=verify_pixels,
                                 drop_bytes=drop_bytes)
-        # (discover_fn, actors, num_partitions, salted_hosts) enables
-        # in-stage link discovery: links found at parse time go back
-        # to the frontier from THIS actor (see DiscoverRouteStage)
-        self.discover = (DiscoverRouteStage(*discover_args)
-                         if discover_args else None)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out = self.parse(self.fetch(batch))
-        if self.discover is not None:
-            out = self.discover(out)
-        return out
+        return self.parse(self.fetch(batch))
 
 
 class ParseStage:
@@ -352,65 +345,44 @@ class DiscoverRouteStage:
 
     The production shape of the iterative crawl (reference analog: the
     PoS 3-hop chain, hepcrawl/spiders/pos_spider.py:93-199, where each
-    parse callback yields the next request): composed after parse in
-    :class:`FetchParseStage` or run standalone over an admission table.
-    Delivery is awaited INSIDE the call (``ray.get`` on the offer
-    refs), so when the Dataset consuming this stage completes, every
-    discovered link is already buffered in its frontier partition —
-    the driver can seal without polling.
+    parse callback yields the next request).  ``__call__`` extracts and
+    canonicalizes only; :meth:`flush` delivers ONE merged table per
+    partition and awaits it, so once every worker's flush returns the
+    driver can seal.  Per-batch delivery serialized on the frontier
+    actors' inboxes (CLAUDE.md lesson 28).  ``buffered`` must be
+    ``True``: the keyword stays only so callers that pass it (the
+    benchmark's discover ledger) keep working.
 
     Determinism: admission is decided over a seq-sorted view at seal
-    (frontier.seal), so the arbitrary arrival order of per-batch
-    offers cannot change the schedule — pinned by the in-stage ==
-    driver-loop == simulator test (tests/test_sources_iterative.py).
+    (frontier.seal), so neither arrival order nor merging can change
+    the schedule — pinned by the in-stage == simulator test
+    (tests/test_sources_iterative.py).
     """
 
     def __init__(self, discover_fn, actors, num_partitions,
                  salted_hosts=None, discover_batch_fn=None,
-                 buffered=False):
-        from hepcrawl_ray.frontier import (
-            canonicalize_batch,
-            route_partition_ids,
-        )
-
+                 buffered=True):
+        if not buffered:
+            raise ValueError("DiscoverRouteStage always buffers offers "
+                             "until flush(); buffered must be True")
         self.discover_fn = discover_fn
         self.actors = actors
         self.num_partitions = num_partitions
         self.salted_hosts = salted_hosts
         self.discover_batch_fn = discover_batch_fn
-        self._canon = canonicalize_batch
-        self._route_ids = route_partition_ids
-        # buffered=True: __call__ accumulates canonical offers locally
-        # and flush() delivers ONE merged table per partition — the
-        # offer fan-in otherwise serializes on the receiving actors'
-        # inboxes (one offer call per (chunk, partition); CLAUDE.md
-        # lesson 28), which capped the iterative crawl at ~1/3 of the
-        # non-iterative headline.  Arrival order is irrelevant
-        # (admission is decided over a seq-sorted view at seal), so
-        # merging preserves the exact schedule.
-        self.buffered = buffered
         self._buf: list[pa.Table] = []
-
-    def _deliver(self, offers: pa.Table):
-        import ray
-
-        parts = self._route_ids(offers.column("host").to_pylist(),
-                                offers.column("url_hash").to_numpy(),
-                                self.num_partitions, self.salted_hosts)
-        pending = []
-        for p in np.unique(parts):
-            sub = offers.filter(pa.array(parts == p))
-            pending.append(self.actors[int(p)].offer.remote(sub))
-        ray.get(pending)       # delivered before return
 
     def flush(self) -> int:
         """Deliver all buffered offers (one merged table per
         partition) and await delivery; returns rows delivered."""
+        import ray
+
         if not self._buf:
             return 0
         offers = pa.concat_tables(self._buf).combine_chunks()
         self._buf = []
-        self._deliver(offers)
+        ray.get(offer_routed(self.actors, offers, self.num_partitions,
+                             self.salted_hosts))
         return offers.num_rows
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -444,9 +416,5 @@ class DiscoverRouteStage:
                 "set_id": [r.get("set_id", "") for r in new_rows],
             }) if new_rows else None
         if raw is not None and raw.num_rows:
-            offers = self._canon(raw)
-            if self.buffered:
-                self._buf.append(offers)   # delivered at flush()
-            else:
-                self._deliver(offers)      # delivered before batch returns
+            self._buf.append(canonicalize_batch(raw))  # delivered at flush()
         return batch.append_column("n_links", pa.array(n_links))

@@ -258,3 +258,49 @@ class TestParallelPool:
         assert sorted(per_part) == [0, 1, 2]
         assert min(per_part.values()) > 1
         assert _records(out).num_rows == sum(b.num_rows for b in blocks)
+
+
+class TestOfferSeedsDataset:
+    """offer_seeds' Dataset path: a seed table above one offer batch is
+    canonicalized and routed in map tasks whose offers are
+    fire-and-forget, and the driver polls ``buffered_rows``."""
+
+    @staticmethod
+    def _schedule(seeds, politeness, salted, offer_batch_size):
+        import ray
+
+        actors = cp.start_frontier(politeness.to_pylist(), 3, salted)
+        n = cp.offer_seeds(actors, seeds, 3, salted_hosts=salted,
+                           offer_batch_size=offer_batch_size)
+        ray.get([a.seal.remote() for a in actors])
+        adm = cp.drain_admissions_chunked(actors, seal=False)
+        metrics = ray.get([a.get_metrics.remote() for a in actors])
+        for a in actors:
+            ray.kill(a)
+        # url breaks the (round, host, pop_idx) ties of a salted host
+        t = pa.concat_tables(adm.iter_batches(
+            batch_size=None, batch_format="pyarrow")).sort_by(
+            [("round", "ascending"), ("host", "ascending"),
+             ("pop_idx", "ascending"), ("url", "ascending")])
+        order = list(zip(*(t.column(c).to_pylist() for c in
+                           ("round", "host", "url", "seq", "partition"))))
+        return n, metrics, order
+
+    @pytest.mark.parametrize("salted", [None, SALTED])
+    def test_dataset_path_delivers_and_orders(self, ray_session, corpus,
+                                              salted):
+        """Every seed row is offered, and the schedule equals the
+        simulator's (unsalted; it has no salting) or, partition by
+        partition, the driver-side offer path's (salted)."""
+        _, _, seeds, politeness = corpus
+        assert seeds.num_rows > 64            # several 64-row batches
+        n, metrics, got = self._schedule(seeds, politeness, salted, 64)
+        assert n == seeds.num_rows == sum(m["offered"] for m in metrics)
+        if salted:
+            want = self._schedule(seeds, politeness, salted,
+                                  seeds.num_rows)[2]
+        else:
+            ref = simulate(seeds.to_pylist(), politeness.to_pylist())
+            want = [(r, h, u, s) for (r, h, u, s, _p, _m) in ref.admissions]
+            got = [row[:4] for row in got]
+        assert got == want

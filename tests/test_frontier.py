@@ -163,15 +163,17 @@ class TestChunkedDrain:
         from hepcrawl_ray.pipelines import crawl as cp
         images, seeds, politeness = fixture_tables
 
-        def run(chunk_rows):
+        def run(batch_size):
             out = cp.run_crawl(images, seeds, politeness, num_partitions=3,
                                fetch_concurrency=2, parse_concurrency=2,
-                               batch_size=64, drain_chunk_rows=chunk_rows)
+                               batch_size=batch_size)
             t = pa.concat_tables(out["records"].iter_batches(
                 batch_size=10_000, batch_format="pyarrow"))
             return t.sort_by("seq")
 
-        assert run(32).equals(run(None))
+        # run_crawl drains in chunks of batch_size; 1 << 20 rows is far
+        # above any partition's schedule, so each drains in one block
+        assert run(32).equals(run(1 << 20))
 
 
 class TestResume:

@@ -163,8 +163,8 @@ class TestIterativeCrawl:
 
     def test_in_stage_discovery_matches_driver_and_sim(self, ray_session):
         """The production path (links extracted + routed inside the
-        Dataset stage, DiscoverRouteStage) == the driver loop == the
-        simulator, on the same tree fixture."""
+        discover workers' DiscoverRouteStage) == the simulator, on the
+        same tree fixture."""
         from hepcrawl_ray.pipelines import crawl as cp
         from hepcrawl_ray.sim import simulate_iterative
 
@@ -197,14 +197,10 @@ class TestIterativeCrawl:
                             t.column("seq").to_pylist()))
 
         in_stage = cp.run_iterative_crawl(seeds, politeness, discover,
-                                          num_partitions=2, in_stage=True)
-        # the driver-side loop is the oracle-exact executable spec —
-        # explicitly requested now that in_stage is the default
-        driver = cp.run_iterative_crawl(seeds, politeness, discover,
-                                        num_partitions=2, in_stage=False)
+                                          num_partitions=2)
         want = [(r, u, s) for (r, _h, u, s, _p, _m) in ref.admissions]
-        assert admitted(in_stage) == admitted(driver) == want
-        assert in_stage["seen"] == driver["seen"] == ref.seen_hashes
+        assert admitted(in_stage) == want
+        assert in_stage["seen"] == ref.seen_hashes
 
     def test_batch_discover_matches_per_row_and_sim(self, ray_session):
         """The vectorized discover_batch_fn contract (one call per
@@ -397,7 +393,7 @@ class TestIterativeCrawl:
             "robots_disallow": [[]],
         }, schema=synth.POLITENESS_SCHEMA)
         out = cp.run_iterative_crawl(seeds, politeness, discover,
-                                     num_partitions=2, in_stage=True)
+                                     num_partitions=2)
         urls = out["admissions"].column("url").to_pylist()
         assert urls.count(f"http://{host}/x/shared") == 1
         assert len(urls) == 3
