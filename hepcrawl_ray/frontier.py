@@ -312,6 +312,15 @@ class FrontierPartition:
             "spilled_rows": 0, "spill_reloads": 0, "max_hot_resident": 0,
         }
 
+    def reset(self, *args, **kwargs) -> None:
+        """Drop all state (seen set, queues, buffered offers, counters);
+        with constructor arguments, start over as a new partition.  An
+        actor the last crawl released is reused this way (see
+        ``pipelines.crawl.start_frontier``)."""
+        self.__dict__.clear()
+        if args or kwargs:
+            self.__init__(*args, **kwargs)
+
     # -- budget lookup ------------------------------------------------------
 
     def _budget_for(self, host: str) -> HostBudget:
@@ -662,6 +671,16 @@ class FrontierPartition:
         if rate <= 0.0:
             return self.drain(0)
         return self.drain(max(1, math.ceil(target_rows / rate)))
+
+    def drain_block(self, target_rows: int | None = None) -> tuple:
+        """``drain_chunk(target_rows)``, or the full ``drain()`` without
+        a target, plus ``(num_rows, size_bytes, pending)``.  Called with
+        ``num_returns=2``, so the driver reads the small tuple and builds
+        a Dataset over the block without fetching it or running a task
+        to read its metadata."""
+        t = self.drain() if target_rows is None \
+            else self.drain_chunk(target_rows)
+        return t, (t.num_rows, t.nbytes, self.pending())
 
     def seen_hashes(self) -> np.ndarray:
         return self.seen.seen_keys()

@@ -14,8 +14,13 @@ Scale notes (design for 256 nodes / 100 TB, tested single-node):
   traffic is bytes-free URL metadata.
 - The corpus index is broadcast once with ``ray.put`` and read in each
   fetch actor's ``__init__`` — never per batch.
-- Admissions are returned as per-partition Arrow refs and assembled
-  with ``from_arrow_refs`` — no driver-side row loop anywhere.
+- Admissions are returned as per-partition Arrow refs, each with its
+  row count and byte size, and assembled into a Dataset from those
+  (``admissions_dataset``) — no driver-side row loop, and no task
+  spent reading block metadata.
+- Frontier partitions and discover workers outlive a crawl: the next
+  crawl in the same Ray session resets and reuses them instead of
+  paying actor start-up again (``_WarmActors``).
 - Output is written as partitioned Parquet under ``output_dir`` so a
   rerun can skip finished partitions; frontier state checkpoints under
   ``checkpoint_dir`` (exact resume, see tests/test_frontier.py).
@@ -24,11 +29,13 @@ Scale notes (design for 256 nodes / 100 TB, tested single-node):
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 import pyarrow as pa
 
 from hepcrawl_ray.frontier import (
+    ADMIT_SCHEMA,
     FrontierPartition,
     canonicalize_batch,
     offer_routed,
@@ -36,36 +43,160 @@ from hepcrawl_ray.frontier import (
 from hepcrawl_ray.stages import FetchParseStage
 
 
+# CPU share of every actor that can outlive a crawl (frontier
+# partitions, discover workers).  Small, because idle ones hold it too.
+WARM_ACTOR_CPUS = 0.05
+
+
+class _WarmActors:
+    """The actors the last finished crawl handed back, for the next
+    crawl in the same Ray session to reuse: a new actor answers its
+    first call ~1.7 s after it is created, a warm one in milliseconds
+    (lesson 18).  Only a session that runs several crawls gains, such
+    as one that runs ``__ray_entry__.entry()`` and then the ``crawl_*``
+    queries, which the registry orders back to back.  A one-crawl
+    session (the ``crawl`` CLI) pays only the resets at release.  The
+    rules:
+
+    - a released actor is reset to nothing, and a taken one is reset
+      with constructor arguments, so it behaves as a new actor;
+    - only the last finished crawl's actors stay idle: a release kills
+      the ones still idle, and a crawl kills every idle actor it does
+      not take.  They are also killed when the session would have less
+      than one whole CPU beside them, so a 1-CPU task always fits;
+    - the list belongs to the Ray session that made it (job and node
+      ID: a restarted local cluster numbers its jobs from 1 again, but
+      its node ID is new); in a new one it is dropped without calling
+      the actors;
+    - a taken actor that turns out dead is replaced by a new one."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._session = None
+        self._idle = []            # (class, handle)
+
+    @staticmethod
+    def _session_key():
+        import ray
+
+        if not ray.is_initialized():
+            return None
+        ctx = ray.get_runtime_context()
+        return ctx.get_job_id(), ctx.get_node_id()
+
+    def _swap(self, keep):
+        """Make ``keep`` the idle list; returns the handles it replaces
+        (none when they belong to an earlier session)."""
+        key = self._session_key()
+        with self._lock:
+            old = [h for _, h in self._idle] if self._session == key else []
+            self._session, self._idle = key, keep
+        return old
+
+    def take(self, cls, n):
+        """Remove and return up to ``n`` idle actors of ``cls``."""
+        key = self._session_key()
+        with self._lock:
+            if self._session != key:
+                self._session, self._idle = key, []
+            taken, rest = [], []
+            for c, h in self._idle:
+                if c is cls and len(taken) < n:
+                    taken.append(h)
+                else:
+                    rest.append((c, h))
+            self._idle = rest
+        return taken
+
+    def acquire(self, cls, inits, taken=None):
+        """One actor of ``cls`` per ``(args, kwargs)`` in ``inits``:
+        idle actors (``taken``, else taken here) reset with them, then
+        new ones.  Kills every other idle actor first."""
+        import ray
+
+        if taken is None:
+            taken = self.take(cls, len(inits))
+        _kill(self._swap([]))
+        make = ray.remote(num_cpus=WARM_ACTOR_CPUS)(cls)
+        resets = [h.reset.remote(*a, **kw)
+                  for h, (a, kw) in zip(taken, inits)]
+        actors = taken + [make.remote(*a, **kw)
+                          for a, kw in inits[len(taken):]]
+        for i, ref in enumerate(resets):
+            try:
+                ray.get(ref)
+            except ray.exceptions.RayActorError:
+                a, kw = inits[i]
+                actors[i] = make.remote(*a, **kw)
+        return actors
+
+    def release(self, groups):
+        """Reset ``(class, actors)`` groups to nothing and keep them
+        idle in place of the ones idle now, which are killed."""
+        import ray
+
+        flat = [(cls, h) for cls, hs in groups for h in hs]
+        if ray.cluster_resources().get("CPU", 0.0) \
+                - len(flat) * WARM_ACTOR_CPUS < 1.0:
+            _kill([h for _, h in flat] + self._swap([]))
+            return
+        keep = []
+        for (cls, h), ref in zip(flat, [h.reset.remote() for _, h in flat]):
+            try:
+                ray.get(ref)
+                keep.append((cls, h))
+            except ray.exceptions.RayActorError:
+                pass
+        kept = {h for _, h in keep}
+        _kill([h for h in self._swap(keep) if h not in kept])
+
+
+def _kill(actors):
+    import ray
+
+    for a in actors:
+        ray.kill(a)
+
+
+_WARM = _WarmActors()
+
+
 def start_frontier(politeness_rows, num_partitions=4, salted_hosts=None,
                    capacity_per_partition=1 << 17, tick_ms=100,
-                   num_cpus_per_actor=0.05, spill_dir=None,
-                   spill_threshold_rows=None):
-    """Create the frontier actor pool.  ``spill_dir`` +
-    ``spill_threshold_rows`` cap each partition's hot queue heads and
-    spill cold tails to parquet (frontier cold-tail spill; schedules
-    stay bit-identical)."""
+                   spill_dir=None, spill_threshold_rows=None):
+    """Create the frontier actor pool, reusing the partitions the
+    previous crawl released (:func:`release_frontier`), each reset to a
+    fresh partition.  ``spill_dir`` + ``spill_threshold_rows`` cap each
+    partition's hot queue heads and spill cold tails to parquet
+    (frontier cold-tail spill; schedules stay bit-identical)."""
+    kw = dict(capacity=capacity_per_partition, tick_ms=tick_ms,
+              salted_hosts=salted_hosts, spill_dir=spill_dir,
+              spill_threshold_rows=spill_threshold_rows)
+    return _WARM.acquire(FrontierPartition,
+                         [((i, num_partitions, politeness_rows), kw)
+                          for i in range(num_partitions)])
+
+
+def restore_frontier(checkpoint_dir, num_partitions):
+    """Re-create the actor pool from a checkpoint (exact resume), on
+    the partitions the previous crawl released where there are any."""
     import ray
 
-    actor_cls = ray.remote(num_cpus=num_cpus_per_actor)(FrontierPartition)
-    return [
-        actor_cls.remote(i, num_partitions, politeness_rows,
-                         capacity=capacity_per_partition, tick_ms=tick_ms,
-                         salted_hosts=salted_hosts, spill_dir=spill_dir,
-                         spill_threshold_rows=spill_threshold_rows)
-        for i in range(num_partitions)
-    ]
-
-
-def restore_frontier(checkpoint_dir, num_partitions, num_cpus_per_actor=0.05):
-    """Re-create the actor pool from a checkpoint (exact resume)."""
-    import ray
-
-    actor_cls = ray.remote(num_cpus=num_cpus_per_actor)(FrontierPartition)
-    actors = [actor_cls.remote(i, num_partitions, [])
-              for i in range(num_partitions)]
+    actors = _WARM.acquire(FrontierPartition,
+                           [((i, num_partitions, []), {})
+                            for i in range(num_partitions)])
     ray.get([a.load_checkpoint.remote(checkpoint_dir, i)
              for i, a in enumerate(actors)])
     return actors
+
+
+def release_frontier(actors, discover_workers=()):
+    """Hand a finished crawl's actors back instead of ``ray.kill``: the
+    next crawl in this Ray session reuses them (see ``_WarmActors``).
+    Call it once the crawl no longer needs them; Datasets over blocks
+    they drained stay valid."""
+    _WARM.release([(FrontierPartition, actors),
+                   (_DiscoverWorker, discover_workers)])
 
 
 def offer_seeds(actors, seeds, num_partitions, offer_batch_size=65536,
@@ -112,17 +243,20 @@ def offer_seeds(actors, seeds, num_partitions, offer_batch_size=65536,
     return total
 
 
-def drain_admissions_chunked(actors, target_rows=1 << 18, seal=True):
-    """Chunked drain: no partition ever materializes its whole schedule
-    as one block (at 10^10 URLs / few partitions a full drain is one
-    multi-GB table per actor — and one object ref gating downstream
-    parallelism).  Each round of ``drain_chunk`` calls yields ≈
-    ``target_rows`` rows per partition as its own object-store block;
-    the union over chunks is EXACTLY the full-drain schedule (each
-    queue's closed form continues from its virtual clock).
+def drain_admissions_chunked(actors, target_rows=1 << 18, seal=False):
+    """Chunked drain of a SEALED frontier: no partition ever
+    materializes its whole schedule as one block (at 10^10 URLs / few
+    partitions a full drain is one multi-GB table per actor — and one
+    object ref gating downstream parallelism).  Each round of
+    ``drain_block`` calls yields ≈ ``target_rows`` rows per partition
+    as its own object-store block; the union over chunks is EXACTLY
+    the full-drain schedule (each queue's closed form continues from
+    its virtual clock).  ``seal`` must be False (seal first); the
+    keyword stays only so callers that pass it keep working.
 
-    The tables are never fetched to the driver — the per-chunk refs
-    feed ``from_arrow_refs`` directly.
+    The tables are never fetched to the driver: each actor returns a
+    chunk's row count and byte size beside it, and
+    :func:`admissions_dataset` builds the Dataset from those.
 
     ``(round, host, pop_idx)`` is NOT unique: a salted host's
     sub-queues each number their pops from 0, so their rows tie on
@@ -136,18 +270,50 @@ def drain_admissions_chunked(actors, target_rows=1 << 18, seal=True):
     import ray
 
     if seal:
-        ray.get([a.seal.remote() for a in actors])
-    chunks = [[] for _ in actors]
+        raise ValueError("drain_admissions_chunked drains a sealed "
+                         "frontier; seal first and pass seal=False")
+    blocks = [[] for _ in actors]
+    metas = [[] for _ in actors]
     live = list(range(len(actors)))
     while live:
-        for i in live:
-            chunks[i].append(actors[i].drain_chunk.remote(target_rows))
-        # pending() runs after drain_chunk on each actor (actor tasks
-        # are ordered), so it reflects the post-chunk queue state;
-        # finished partitions drop out of the next round
-        pend = ray.get([actors[i].pending.remote() for i in live])
-        live = [i for i, p in zip(live, pend) if p > 0]
-    return ray.data.from_arrow_refs([r for refs in chunks for r in refs])
+        refs = [actors[i].drain_block.options(num_returns=2)
+                .remote(target_rows) for i in live]
+        # a chunk's meta ends with the partition's pending rows after
+        # it; finished partitions drop out of the next round
+        got = ray.get([m for _, m in refs])
+        for i, (block, _), m in zip(live, refs, got):
+            blocks[i].append(block)
+            metas[i].append(m)
+        live = [i for i, m in zip(live, got) if m[2] > 0]
+    return admissions_dataset([r for bs in blocks for r in bs],
+                              [m for ms in metas for m in ms])
+
+
+def admissions_dataset(blocks, metas):
+    """``ray.data.from_arrow_refs(blocks)`` for ADMIT_SCHEMA blocks whose
+    ``(num_rows, size_bytes, ...)`` the frontier already returned
+    (:meth:`FrontierPartition.drain_block`).  from_arrow_refs reads
+    them with one 1-CPU task per block, and each such task can
+    cold-start a worker that imports ``ray.data`` (~1.5 s); this
+    builds the same Dataset from the given metadata, no task at all."""
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.from_operators import \
+        FromArrow
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.block import BlockMetadata, BlockMetadataWithSchema
+    from ray.data.context import DataContext
+    from ray.data.dataset import MaterializedDataset
+
+    meta = [BlockMetadataWithSchema(
+        BlockMetadata(num_rows=int(m[0]), size_bytes=int(m[1]),
+                      input_files=None, exec_stats=None),
+        schema=ADMIT_SCHEMA) for m in metas]
+    plan = ExecutionPlan(DatasetStats(metadata={"FromArrow": meta},
+                                      parent=None),
+                         DataContext.get_current().copy())
+    return MaterializedDataset(
+        plan, LogicalPlan(FromArrow(list(blocks), meta), plan._context))
 
 
 # CPU reservation of each fused fetch+parse actor
@@ -167,11 +333,14 @@ def _fused_pool_size(want):
     HIGHER with 16 actors than 32 (less shared-DRAM thrash), while
     <= 8-CPU sessions are compute-bound and want every core.
 
-    ``from_arrow_refs`` reads block metadata with 1-CPU tasks whose
-    leases show as busy for up to ~0.1 s after it returns, so poll
-    (at most 0.25 s) until the pool fits or takes all but one actor's
-    share of the session, rather than size the whole stream around a
-    lease about to go away."""
+    An earlier Dataset's pool actors can outlive its stream: Ray Data
+    drops their handles and leaves the rest to reference counting,
+    and a handle caught in a reference cycle lives until Python's
+    cyclic collector runs, seconds later on back-to-back crawls.  So
+    when the pool would come out short of all but one actor's share
+    of the session, collect once and wait (at most 0.5 s) for those
+    CPUs to come back."""
+    import gc
     import time
 
     import ray
@@ -179,13 +348,19 @@ def _fused_pool_size(want):
     total = ray.cluster_resources().get("CPU", 8)
     want = max(1, min(want, max(8, int(total) // 2)))
     enough = min(want, int(total / POOL_ACTOR_CPUS) - 1)
-    deadline = time.monotonic() + 0.25
-    while True:
-        fits = int(ray.available_resources().get("CPU", 0.0)
+
+    def fits():
+        return int(ray.available_resources().get("CPU", 0.0)
                    / POOL_ACTOR_CPUS)
-        if fits >= enough or time.monotonic() >= deadline:
-            return max(1, min(want, fits))
-        time.sleep(0.01)
+
+    n = fits()
+    if n < enough:
+        gc.collect()
+        deadline = time.monotonic() + 0.5
+        while n < enough and time.monotonic() < deadline:
+            time.sleep(0.01)
+            n = fits()
+    return max(1, min(want, n))
 
 
 def fetch_and_parse(admissions_ds, images, *, fetch_concurrency=4,
@@ -246,7 +421,9 @@ def run_crawl(images, seeds, politeness, *, num_partitions=4,
     frontier if ``checkpoint_dir`` is set, then drain admissions in
     chunks of the fetch+parse pool's own ``batch_size`` (bounded
     blocks, see :func:`drain_admissions_chunked`), so the pool sees
-    many blocks and runs at full width (see :func:`fetch_and_parse`)."""
+    many blocks and runs at full width (see :func:`fetch_and_parse`).
+    The frontier actors are released, not killed, so the next crawl in
+    this Ray session starts on warm ones."""
     import ray
 
     pol_rows = politeness.to_pylist() if isinstance(politeness, pa.Table) \
@@ -273,8 +450,7 @@ def run_crawl(images, seeds, politeness, *, num_partitions=4,
         records.write_parquet(output_dir, ray_remote_args={"num_cpus": 0})
         records = ray.data.read_parquet(output_dir)
     metrics = ray.get([a.get_metrics.remote() for a in actors])
-    for a in actors:
-        ray.kill(a)
+    release_frontier(actors)
     return {"records": records, "metrics": metrics, "offered": offered}
 
 
@@ -285,8 +461,9 @@ N_DISCOVER_WORKERS = 4
 
 class _DiscoverWorker:
     """Persistent actor hosting a DiscoverRouteStage across iterative
-    rounds (wrapped with ``ray.remote`` at start; plain class so tests
-    can instantiate it directly)."""
+    rounds, and across crawls once released (wrapped with
+    ``ray.remote`` at start; plain class so tests can instantiate it
+    directly)."""
 
     def __init__(self, discover_fn, actors, num_partitions,
                  salted_hosts, discover_batch_fn=None):
@@ -295,6 +472,13 @@ class _DiscoverWorker:
         self.stage = DiscoverRouteStage(
             discover_fn, actors, num_partitions, salted_hosts,
             discover_batch_fn=discover_batch_fn)
+
+    def reset(self, *args) -> None:
+        """Drop the stage (its discover function, frontier handles and
+        buffered offers); with constructor arguments, start over."""
+        self.__dict__.clear()
+        if args:
+            self.__init__(*args)
 
     def process(self, table: pa.Table) -> int:
         # extraction only — delivery happens at the caller's flush()
@@ -427,6 +611,10 @@ def run_iterative_crawl(seeds, politeness, discover_fn, *,
             raise ValueError(
                 f"checkpoint has {meta['num_partitions']} partitions, "
                 f"resume requested {num_partitions}")
+    # take the warm discover workers before the frontier, which kills
+    # every idle actor it does not take
+    idle_workers = _WARM.take(_DiscoverWorker, N_DISCOVER_WORKERS)
+    if resume:
         actors = restore_frontier(
             os.path.join(checkpoint_dir, f"gen={meta['gen']}"),
             num_partitions)
@@ -442,14 +630,15 @@ def run_iterative_crawl(seeds, politeness, discover_fn, *,
         gen = 0
     pending_ckpt: list[pa.Table] = []
 
-    # PERSISTENT discover workers (created once, reused every
-    # iteration): a fresh map_batches actor pool per iteration pays
-    # ~2 s spin-up per streaming pass (CLAUDE.md lesson 15), which
-    # dominates an iterative crawl's wall clock.
-    DW = ray.remote(num_cpus=0.25)(_DiscoverWorker)
-    workers = [DW.remote(discover_fn, actors, num_partitions,
-                         salted_hosts, discover_batch_fn)
-               for _ in range(N_DISCOVER_WORKERS)]
+    # PERSISTENT discover workers (reused every iteration, and by the
+    # next crawl once released): a fresh map_batches actor pool per
+    # iteration pays ~2 s spin-up per streaming pass (lesson 15),
+    # which dominates an iterative crawl's wall clock.
+    args = (discover_fn, actors, num_partitions, salted_hosts,
+            discover_batch_fn)
+    workers = _WARM.acquire(_DiscoverWorker,
+                            [(args, {})] * N_DISCOVER_WORKERS,
+                            taken=idle_workers)
 
     for it in range(max_iters):
         tables = ray.get([a.drain.remote(rounds_per_iter) for a in actors])
@@ -485,9 +674,6 @@ def run_iterative_crawl(seeds, politeness, discover_fn, *,
     result = pa.concat_tables(admissions) if admissions else None
     metrics = ray.get([a.get_metrics.remote() for a in actors])
     seen = np.concatenate(ray.get([a.seen_hashes.remote() for a in actors]))
-    for a in actors:
-        ray.kill(a)
-    for w in workers:
-        ray.kill(w)
+    release_frontier(actors, workers)
     return {"admissions": result, "metrics": metrics,
             "seen": set(seen.tolist())}

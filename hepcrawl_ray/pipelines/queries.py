@@ -792,8 +792,7 @@ def q_crawl_admissions(sf_dir: str):
     ray.get([a.seal.remote() for a in actors])
     admissions = pa.concat_tables(
         ray.get([a.drain.remote(None) for a in actors]))
-    for a in actors:
-        ray.kill(a)
+    cp.release_frontier(actors)
     return admissions.sort_by([("round", "ascending"), ("host", "ascending"),
                                ("pop_idx", "ascending")])
 
@@ -869,8 +868,7 @@ def q_crawl_metrics(sf_dir: str):
     ray.get([a.seal.remote() for a in actors])
     ray.get([a.drain.remote(None) for a in actors])
     metrics = ray.get([a.get_metrics.remote() for a in actors])
-    for a in actors:
-        ray.kill(a)
+    cp.release_frontier(actors)
     cols = ("offered", "dropped_robots", "dropped_dup",
             "admitted_to_queue", "drained")
     return pa.table({
@@ -2353,8 +2351,7 @@ def q_crawl_seen_set(sf_dir: str):
     ray.get([a.seal.remote() for a in actors])
     ray.get([a.drain.remote(None) for a in actors])
     hashes = np.concatenate(ray.get([a.seen_hashes.remote() for a in actors]))
-    for a in actors:
-        ray.kill(a)
+    cp.release_frontier(actors)
     return pa.table({"url_hash": np.sort(hashes)})
 
 

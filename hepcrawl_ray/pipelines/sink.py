@@ -82,20 +82,20 @@ def run_resumable_crawl(images, seeds, politeness, *, output_dir: str,
     done = set(manifest["partitions"])
     todo = [pid for pid in range(num_partitions) if str(pid) not in done]
 
-    nrows_probe = ray.remote(num_cpus=0)(lambda t: t.num_rows)
-
     def process(pid: int) -> int:
         # drain fires when the partition's processing starts, so at
         # most ~max_workers admission tables are live in the object
-        # store at once; the driver never holds one (from_arrow_refs
-        # + a tiny remote num_rows probe)
-        drain_ref = actors[pid].drain.remote(None)
-        n = int(ray.get(nrows_probe.remote(drain_ref)))
+        # store at once; the driver never holds one, only the row
+        # count and byte size the actor returns beside it
+        block, meta_ref = actors[pid].drain_block.options(
+            num_returns=2).remote()
+        meta = ray.get(meta_ref)
+        n = meta[0]
         part_dir = os.path.join(output_dir, f"part={pid}")
         if os.path.exists(part_dir):  # crash leftovers without manifest
             shutil.rmtree(part_dir)
         if n:
-            ds = ray.data.from_arrow_refs([drain_ref])
+            ds = cp.admissions_dataset([block], [meta])
             records = cp.fetch_and_parse(
                 ds, images, fetch_concurrency=fetch_concurrency,
                 parse_concurrency=parse_concurrency, batch_size=batch_size)
@@ -177,9 +177,9 @@ def run_resumable_crawl(images, seeds, politeness, *, output_dir: str,
                     else:
                         submit_next()  # refill the bounded window
     finally:
-        # a failed partition write must not leak the frontier actors
-        for a in actors:
-            ray.kill(a)
+        # hand the frontier actors back, also after a failed partition
+        # write: release resets them, so nothing of this crawl leaks
+        cp.release_frontier(actors)
     return manifest
 
 

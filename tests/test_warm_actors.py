@@ -1,0 +1,403 @@
+"""Crawl actors outlive a crawl: the next crawl in the same Ray session
+resets and reuses the frontier partitions and discover workers the
+last one released (pipelines.crawl._WarmActors).  A reused actor must
+behave exactly like a new one, and idle actors must never starve
+later work."""
+
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+
+import numpy as np
+import pyarrow as pa
+import pytest
+
+from hepcrawl_ray import synth
+from hepcrawl_ray.frontier import FrontierPartition, canonicalize_batch
+from hepcrawl_ray.pipelines import crawl as cp
+from hepcrawl_ray.sim import simulate, simulate_iterative
+
+ORDER = [("round", "ascending"), ("host", "ascending"),
+         ("pop_idx", "ascending")]
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    images, _ = synth.generate_corpus(120)
+    seeds = synth.generate_seeds(images)
+    politeness = synth.generate_politeness()
+    return images, seeds, politeness
+
+
+def _slow_politeness(politeness):
+    """A second budget table: one URL per host every 3 rounds, and a
+    second robots rule."""
+    n = politeness.num_rows
+    return pa.table({
+        "host": politeness.column("host"),
+        "max_concurrency": [1] * n,
+        "min_delay_ms": [250] * n,
+        "robots_disallow": [["/private/", "/set1/"]] * n,
+    }, schema=synth.POLITENESS_SCHEMA)
+
+
+def _order(table):
+    t = table.sort_by(ORDER)
+    return list(zip(*(t.column(c).to_pylist()
+                      for c in ("round", "host", "url", "seq"))))
+
+
+def _reconcile(metrics, n_offered, n_out):
+    for m in metrics:
+        assert m["offered"] == (m["dropped_robots"] + m["dropped_dup"]
+                                + m["admitted_to_queue"])
+    assert sum(m["offered"] for m in metrics) == n_offered
+    assert sum(m["admitted_to_queue"] for m in metrics) \
+        == sum(m["drained"] for m in metrics) == n_out
+
+
+@pytest.fixture
+def frontier_spy(monkeypatch):
+    """Records the actor handles each start_frontier call returns."""
+    calls = []
+    real = cp.start_frontier
+
+    def spy(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(cp, "start_frontier", spy)
+    return calls
+
+
+def _crawl(images, seeds, politeness, **kw):
+    out = cp.run_crawl(images, seeds, politeness, fetch_concurrency=2,
+                       parse_concurrency=2, **kw)
+    table = pa.concat_tables(out["records"].iter_batches(
+        batch_size=None, batch_format="pyarrow"))
+    return out, table
+
+
+class TestReuse:
+    def test_back_to_back_crawls_are_fresh(self, ray_session, corpus,
+                                           frontier_spy):
+        """Crawls with a different partition count, politeness and
+        salting, one after another, each give the schedule of new
+        actors: the simulator's (unsalted) and counters starting at 0
+        that reconcile with the records."""
+        images, seeds, politeness = corpus
+        slow = _slow_politeness(politeness)
+        runs = [(3, politeness, None), (2, slow, {"host0.example.org": 2}),
+                (4, slow, None), (3, politeness, None)]
+        for p, pol, salted in runs:
+            out, table = _crawl(images, seeds, pol, num_partitions=p,
+                                salted_hosts=salted)
+            _reconcile(out["metrics"], seeds.num_rows, table.num_rows)
+            assert [m["partition"] for m in out["metrics"]] == list(range(p))
+            ref = simulate(seeds.to_pylist(), pol.to_pylist())
+            if salted:
+                # salting moves URLs between queues, never in or out
+                assert sorted(table.column("url").to_pylist()) \
+                    == sorted(u for _r, _h, u, *_ in ref.admissions)
+            else:
+                assert _order(table) == [(r, h, u, s) for
+                                         (r, h, u, s, _p, _m)
+                                         in ref.admissions]
+        # every crawl after the first started on the previous one's
+        # actors (as many as it needed)
+        for prev, cur in zip(frontier_spy, frontier_spy[1:]):
+            assert len(set(prev) & set(cur)) == min(len(prev), len(cur))
+
+    def test_killed_idle_actor_is_replaced(self, ray_session, corpus,
+                                           frontier_spy):
+        import ray
+
+        images, seeds, politeness = corpus
+        _crawl(images, seeds, politeness, num_partitions=3)
+        first = frontier_spy[-1]
+        ray.kill(first[1])
+        _wait_dead(first[1])
+        out, table = _crawl(images, seeds, politeness, num_partitions=3)
+        second = frontier_spy[-1]
+        assert first[1] not in second
+        assert {first[0], first[2]} <= set(second)
+        ref = simulate(seeds.to_pylist(), politeness.to_pylist())
+        assert _order(table) == [(r, h, u, s) for (r, h, u, s, _p, _m)
+                                 in ref.admissions]
+        _reconcile(out["metrics"], seeds.num_rows, table.num_rows)
+
+    def test_reset_partition_equals_new(self, corpus):
+        """FrontierPartition.reset drops the seen set, queues, buffered
+        offers and counters: a used partition reset with the same
+        arguments drains exactly what a new one does."""
+        _, seeds, politeness = corpus
+        pol = politeness.to_pylist()
+        offers = canonicalize_batch(seeds)
+        used = FrontierPartition(0, 1, pol)
+        used.offer(offers)
+        used.seal()
+        used.drain(3)
+        used.offer(offers.slice(0, 10))       # buffered, never sealed
+        used.reset(0, 1, pol)
+        new = FrontierPartition(0, 1, pol)
+        for p in (used, new):
+            p.offer(offers)
+            p.seal()
+        assert used.get_metrics() == new.get_metrics()
+        assert used.drain().equals(new.drain())
+        assert np.array_equal(np.sort(used.seen_hashes()),
+                              np.sort(new.seen_hashes()))
+
+
+def _tree(n, host="host1.example.org"):
+    """img{i} links to img{2i+1} and img{2i+2} below n."""
+    def discover(url, seq):
+        tail = url.rsplit("/", 1)[-1]
+        if not tail.startswith("img"):
+            return []
+        i = int(tail[3:])
+        return [{"url": f"http://{host}/linked/img{c:07d}", "priority": 0.0,
+                 "seq": 1_000_000 + seq * 256 + j, "mtime": 1000,
+                 "set_id": "linked"}
+                for j, c in enumerate((2 * i + 1, 2 * i + 2)) if c < n]
+
+    seeds = pa.table({
+        "url": [f"http://{host}/seed/img{i:07d}" for i in range(3)],
+        "host": [host] * 3, "set_id": ["seed"] * 3,
+        "priority": [0.0] * 3, "seq": [0, 1, 2], "mtime": [1000] * 3,
+        "dup_of": [None] * 3,
+    }, schema=synth.SEEDS_SCHEMA)
+    return seeds, discover
+
+
+class TestIterativeReuse:
+    def test_two_iterative_crawls_match_sim(self, ray_session):
+        """The second crawl runs on the first one's frontier actors and
+        discover workers (with a different discover function and
+        budget) and still equals the simulator on order and seen set."""
+        def idle_workers():
+            return {h for c, h in cp._WARM._idle
+                    if c is cp._DiscoverWorker}
+
+        host = "host1.example.org"
+        workers = []
+        for n, conc in ((40, 2), (60, 1)):
+            seeds, discover = _tree(n, host)
+            pol = pa.table({"host": [host], "max_concurrency": [conc],
+                            "min_delay_ms": [0], "robots_disallow": [[]]},
+                           schema=synth.POLITENESS_SCHEMA)
+            ref = simulate_iterative(seeds.to_pylist(), pol.to_pylist(),
+                                     discover)
+            out = cp.run_iterative_crawl(seeds, pol, discover,
+                                         num_partitions=2)
+            t = out["admissions"].sort_by(ORDER)
+            got = list(zip(t.column("round").to_pylist(),
+                           t.column("url").to_pylist(),
+                           t.column("seq").to_pylist()))
+            assert got == [(r, u, s) for (r, _h, u, s, _p, _m)
+                           in ref.admissions]
+            assert out["seen"] == ref.seen_hashes
+            assert len(got) > n           # discovery expanded it
+            workers.append(idle_workers())
+        # the second crawl ran on (and released) the first one's workers
+        assert len(workers[0]) == cp.N_DISCOVER_WORKERS
+        assert workers[1] == workers[0]
+
+    def test_idle_actors_leave_room_for_a_1cpu_task(self, ray_session):
+        import ray
+
+        seeds, discover = _tree(40)
+        pol = pa.table({"host": ["host1.example.org"],
+                        "max_concurrency": [2], "min_delay_ms": [0],
+                        "robots_disallow": [[]]},
+                       schema=synth.POLITENESS_SCHEMA)
+        p = 3
+        cp.run_iterative_crawl(seeds, pol, discover, num_partitions=p)
+        total = ray.cluster_resources()["CPU"]
+        floor = total - (p + cp.N_DISCOVER_WORKERS) * cp.WARM_ACTOR_CPUS
+        # other work of this session may still be winding down
+        deadline = time.monotonic() + 60
+        while ray.available_resources().get("CPU", 0.0) < floor - 1e-6:
+            assert time.monotonic() < deadline, ray.available_resources()
+            time.sleep(0.1)
+        one_cpu = ray.remote(num_cpus=1)(lambda: 7)
+        assert ray.get(one_cpu.remote(), timeout=60) == 7
+
+    def test_none_kept_below_one_free_cpu(self, ray_session, monkeypatch):
+        """A release that would leave less than one whole CPU beside
+        the idle actors kills them all: the released ones and the ones
+        idle before."""
+        import ray
+
+        warm = cp._WarmActors()
+        inits = [((i, 2, []), {}) for i in range(2)]
+        before = warm.acquire(FrontierPartition, inits)
+        warm.release([(FrontierPartition, before)])
+        assert len(warm._idle) == 2          # 4 CPUs: room to keep them
+        after = [ray.remote(num_cpus=cp.WARM_ACTOR_CPUS)(FrontierPartition)
+                 .remote(*a, **kw) for a, kw in inits]
+        # a 1-CPU session: 1.0 - 2 x 0.05 leaves no whole CPU
+        monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
+        warm.release([(FrontierPartition, after)])
+        assert warm._idle == []
+        for h in before + after:
+            _wait_dead(h)
+
+
+class TestAdmissionsDataset:
+    def test_count_and_schema_without_executing(self, ray_session, corpus,
+                                                monkeypatch):
+        import ray
+        from ray.data._internal.plan import ExecutionPlan
+
+        from hepcrawl_ray.frontier import ADMIT_SCHEMA
+
+        _, seeds, politeness = corpus
+        actors = cp.start_frontier(politeness.to_pylist(), 2)
+        cp.offer_seeds(actors, seeds, 2)
+        ray.get([a.seal.remote() for a in actors])
+        adm = cp.drain_admissions_chunked(actors, target_rows=16)
+        drained = sum(m["drained"] for m in
+                      ray.get([a.get_metrics.remote() for a in actors]))
+        cp.release_frontier(actors)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the Dataset executed")
+
+        with monkeypatch.context() as m:
+            m.setattr(ExecutionPlan, "execute", boom)
+            m.setattr(ExecutionPlan, "execute_to_iterator", boom)
+            assert adm.count() == drained > 0
+            assert adm.schema().base_schema == ADMIT_SCHEMA
+        rows = pa.concat_tables(adm.iter_batches(batch_size=None,
+                                                 batch_format="pyarrow"))
+        assert rows.num_rows == drained
+
+    def test_seal_true_is_rejected(self):
+        with pytest.raises(ValueError):
+            cp.drain_admissions_chunked([], seal=True)
+
+
+def _wait_dead(handle):
+    """ray.kill is asynchronous: wait until calls on ``handle`` fail."""
+    import ray
+
+    deadline = time.monotonic() + 60
+    with pytest.raises(ray.exceptions.RayActorError):
+        while time.monotonic() < deadline:
+            ray.get(handle.__ray_ready__.remote(), timeout=60)
+            time.sleep(0.05)
+
+
+class _NoCalls:
+    """An actor handle that fails the test if anything touches it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"idle actor of an earlier session: .{name}")
+
+
+class TestIdleList:
+    def test_earlier_session_is_dropped_uncalled(self, monkeypatch):
+        warm = cp._WarmActors()
+        session = ["a"]
+        monkeypatch.setattr(cp._WarmActors, "_session_key",
+                            staticmethod(lambda: session[0]))
+        warm._session, warm._idle = "a", [(FrontierPartition, _NoCalls())]
+        session[0] = "b"
+        assert warm.take(FrontierPartition, 4) == []
+        assert warm._idle == [] and warm._session == "b"
+        warm._session, warm._idle = "a", [(FrontierPartition, _NoCalls())]
+        assert warm._swap([]) == []
+
+    def test_concurrent_swap_and_take_conserve_actors(self, monkeypatch):
+        """Threads putting and taking idle actors at once: every actor
+        put on the list leaves it exactly once (taken or swapped out)
+        or is still on it at the end."""
+        monkeypatch.setattr(cp._WarmActors, "_session_key",
+                            staticmethod(lambda: "s"))
+        warm = cp._WarmActors()
+        n_threads, rounds = 8, 2000
+        out = [[] for _ in range(n_threads)]
+
+        def work(t):
+            for r in range(rounds):
+                out[t] += warm._swap([(FrontierPartition, (t, r, k))
+                                      for k in range(3)])
+                out[t] += warm.take(FrontierPartition, 2)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,))
+                       for t in range(n_threads)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        left = [h for _, h in warm._idle]
+        seen = [h for o in out for h in o] + left
+        assert len(seen) == len(set(seen)) == n_threads * rounds * 3
+
+    def test_new_ray_session_in_the_same_process(self):
+        """ray.shutdown() then ray.init() in one process: the restarted
+        cluster numbers its jobs from 1 again, so the idle list must be
+        told apart by more than the job ID.  The first session's idle
+        actors are swapped for handles that fail on any use; the second
+        crawl must not touch them."""
+        script = textwrap.dedent("""
+            import pyarrow as pa
+            import ray
+
+            from hepcrawl_ray import synth
+            from hepcrawl_ray.pipelines import crawl as cp
+            from hepcrawl_ray.sim import simulate
+
+            class NoCalls:
+                def __getattr__(self, name):
+                    raise AssertionError(f"earlier session's actor: .{name}")
+
+            images, _ = synth.generate_corpus(40)
+            seeds = synth.generate_seeds(images)
+            pol = synth.generate_politeness()
+            ref = [(r, h, u, s) for (r, h, u, s, _p, _m)
+                   in simulate(seeds.to_pylist(), pol.to_pylist()).admissions]
+
+            def crawl():
+                ray.init(address="local", num_cpus=2,
+                         include_dashboard=False, logging_level="ERROR")
+                out = cp.run_crawl(images, seeds, pol, num_partitions=2,
+                                   fetch_concurrency=1, parse_concurrency=1)
+                t = pa.concat_tables(out["records"].iter_batches(
+                    batch_size=None, batch_format="pyarrow")).sort_by(
+                    [("round", "ascending"), ("host", "ascending"),
+                     ("pop_idx", "ascending")])
+                assert list(zip(*(t.column(c).to_pylist() for c in
+                                  ("round", "host", "url", "seq")))) == ref
+
+            crawl()
+            first = cp._WARM._session
+            assert len(cp._WARM._idle) == 2
+            ray.shutdown()
+            cp._WARM._idle = [(c, NoCalls()) for c, _ in cp._WARM._idle]
+            crawl()
+            assert cp._WARM._session != first
+            assert len(cp._WARM._idle) == 2
+            assert not any(isinstance(h, NoCalls)
+                           for _, h in cp._WARM._idle)
+            ray.shutdown()
+            print("ok")
+        """)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=root,
+                              env=env, capture_output=True, text=True,
+                              timeout=600)
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        assert proc.stdout.strip().splitlines()[-1] == "ok"
