@@ -34,10 +34,14 @@ _TOPK_EMPTY = pa.table({"query_id": pa.array([], pa.int64()),
 def _fixed_pool(want: int) -> int:
     """Fixed actor-pool size for CPU-bound 0.5-CPU stages (CLAUDE.md
     lesson #2: autoscaling-from-1 ramps too slowly; fixed pools must
-    not reserve every CPU)."""
+    not reserve every CPU).  Sized from the CPUs free now, not the
+    session's total: an earlier Dataset's pool actors outlive its
+    stream until garbage collection, and warm crawl actors hold a
+    share too, so a pool sized from the total can take the last whole
+    CPU and starve its own 1-CPU read and shuffle tasks."""
     import ray
     try:
-        avail = ray.cluster_resources().get("CPU", 8)
+        avail = ray.available_resources().get("CPU", 0.0)
     except Exception:
         avail = 8
     return max(1, min(want, int((avail - 1.5) / 0.5)))

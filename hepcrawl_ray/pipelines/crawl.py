@@ -5,22 +5,22 @@ SURVEY.md §3): the driver builds seed rows, a stateless
 ``canonicalize_batch`` stage computes crawl identity, a router stage
 pushes rows to host-partitioned frontier actors (worker -> actor data
 flow; the driver only orchestrates), the actors seal + drain the full
-admission schedule in parallel virtual time, and ONE streaming Dataset
-pipeline fetches bytes and parses captions over the admissions.
+admission schedule in parallel virtual time, and ONE pool of fused
+fetch+parse actors turns each admissions block into a records block.
 
 Scale notes (design for 256 nodes / 100 TB, tested single-node):
 
-- Only the fetch/parse Dataset ever carries image bytes; frontier
+- Only the fetch+parse actors ever carry image bytes; frontier
   traffic is bytes-free URL metadata.
-- The corpus index is broadcast once with ``ray.put`` and read in each
-  fetch actor's ``__init__`` — never per batch.
-- Admissions are returned as per-partition Arrow refs, each with its
-  row count and byte size, and assembled into a Dataset from those
-  (``admissions_dataset``) — no driver-side row loop, and no task
-  spent reading block metadata.
-- Frontier partitions and discover workers outlive a crawl: the next
-  crawl in the same Ray session resets and reuses them instead of
-  paying actor start-up again (``_WarmActors``).
+- The corpus index is broadcast once with ``ray.put`` and read when a
+  fetch+parse actor is created or reset — never per block.
+- Admissions and records are per-block Arrow refs whose row counts
+  and byte sizes the driver already knows, assembled into Datasets
+  from those (``admissions_dataset``) — no driver-side row loop, and
+  no task spent reading block metadata.
+- Frontier partitions, discover workers and fetch+parse workers
+  outlive a crawl: the next crawl in the same Ray session resets and
+  reuses them instead of paying actor start-up again (``_WarmActors``).
 - Output is written as partitioned Parquet under ``output_dir`` so a
   rerun can skip finished partitions; frontier state checkpoints under
   ``checkpoint_dir`` (exact resume, see tests/test_frontier.py).
@@ -43,13 +43,14 @@ from hepcrawl_ray.frontier import (
 from hepcrawl_ray.stages import FetchParseStage
 
 
-# CPU share of every actor that can outlive a crawl (frontier
-# partitions, discover workers).  Small, because idle ones hold it too.
+# CPU share of every actor that can outlive a crawl (_WarmActors).
+# Small, because idle ones hold it too.
 WARM_ACTOR_CPUS = 0.05
 
 
 class _WarmActors:
-    """The actors the last finished crawl handed back, for the next
+    """The actors the last finished crawl handed back (frontier
+    partitions, discover workers, fetch+parse workers), for the next
     crawl in the same Ray session to reuse: a new actor answers its
     first call ~1.7 s after it is created, a warm one in milliseconds
     (lesson 18).  Only a session that runs several crawls gains, such
@@ -60,15 +61,21 @@ class _WarmActors:
 
     - a released actor is reset to nothing, and a taken one is reset
       with constructor arguments, so it behaves as a new actor;
+    - a release waits for nothing: a fetch+parse actor is released
+      while the records it owes are still queued on it, and its reset
+      (and a kill, which ends an actor only after its queued calls)
+      runs behind them;
     - only the last finished crawl's actors stay idle: a release kills
-      the ones still idle, and a crawl kills every idle actor it does
-      not take.  They are also killed when the session would have less
-      than one whole CPU beside them, so a 1-CPU task always fits;
+      the ones still idle, and a crawl kills the idle actors of each
+      kind it takes beyond what it needs.  They are also killed when
+      the session would have less than one whole CPU beside them, so a
+      1-CPU task always fits;
     - the list belongs to the Ray session that made it (job and node
       ID: a restarted local cluster numbers its jobs from 1 again, but
       its node ID is new); in a new one it is dropped without calling
       the actors;
-    - a taken actor that turns out dead is replaced by a new one."""
+    - a taken actor that turns out dead (killed, or died while idle)
+      is replaced by a new one."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -93,30 +100,31 @@ class _WarmActors:
             self._session, self._idle = key, keep
         return old
 
-    def take(self, cls, n):
-        """Remove and return up to ``n`` idle actors of ``cls``."""
+    def take(self, cls, n=None):
+        """Remove and return up to ``n`` (default: all) idle actors of
+        ``cls``."""
         key = self._session_key()
         with self._lock:
             if self._session != key:
                 self._session, self._idle = key, []
             taken, rest = [], []
             for c, h in self._idle:
-                if c is cls and len(taken) < n:
+                if c is cls and (n is None or len(taken) < n):
                     taken.append(h)
                 else:
                     rest.append((c, h))
             self._idle = rest
         return taken
 
-    def acquire(self, cls, inits, taken=None):
+    def acquire(self, cls, inits):
         """One actor of ``cls`` per ``(args, kwargs)`` in ``inits``:
-        idle actors (``taken``, else taken here) reset with them, then
-        new ones.  Kills every other idle actor first."""
+        idle ones reset with them, then new ones.  Kills the idle
+        actors of ``cls`` beyond those; other kinds stay idle."""
         import ray
 
-        if taken is None:
-            taken = self.take(cls, len(inits))
-        _kill(self._swap([]))
+        taken = self.take(cls)
+        _kill(taken[len(inits):])
+        taken = taken[:len(inits)]
         make = ray.remote(num_cpus=WARM_ACTOR_CPUS)(cls)
         resets = [h.reset.remote(*a, **kw)
                   for h, (a, kw) in zip(taken, inits)]
@@ -131,8 +139,10 @@ class _WarmActors:
         return actors
 
     def release(self, groups):
-        """Reset ``(class, actors)`` groups to nothing and keep them
-        idle in place of the ones idle now, which are killed."""
+        """Queue a reset to nothing on ``(class, actors)`` groups and
+        keep them idle in place of the ones idle now, which are
+        killed.  Waits for nothing: the reset runs after the calls
+        already queued on each actor."""
         import ray
 
         flat = [(cls, h) for cls, hs in groups for h in hs]
@@ -140,25 +150,30 @@ class _WarmActors:
                 - len(flat) * WARM_ACTOR_CPUS < 1.0:
             _kill([h for _, h in flat] + self._swap([]))
             return
-        keep = []
-        for (cls, h), ref in zip(flat, [h.reset.remote() for _, h in flat]):
-            try:
-                ray.get(ref)
-                keep.append((cls, h))
-            except ray.exceptions.RayActorError:
-                pass
-        kept = {h for _, h in keep}
-        _kill([h for h in self._swap(keep) if h not in kept])
+        for _, h in flat:
+            h.reset.remote()
+        kept = {h for _, h in flat}
+        _kill([h for h in self._swap(flat) if h not in kept])
 
 
 def _kill(actors):
-    import ray
-
+    """End each actor after the calls already queued on it."""
     for a in actors:
-        ray.kill(a)
+        a.__ray_terminate__.remote()
 
 
 _WARM = _WarmActors()
+
+
+class _Reusable:
+    """``reset`` for the workers ``_WARM`` keeps."""
+
+    def reset(self, *args) -> None:
+        """Drop all state (stage, handles, buffers, caches); with
+        constructor arguments, start over as a new actor would."""
+        self.__dict__.clear()
+        if args:
+            self.__init__(*args)
 
 
 def start_frontier(politeness_rows, num_partitions=4, salted_hosts=None,
@@ -190,13 +205,14 @@ def restore_frontier(checkpoint_dir, num_partitions):
     return actors
 
 
-def release_frontier(actors, discover_workers=()):
+def release_frontier(actors, discover_workers=(), pool=()):
     """Hand a finished crawl's actors back instead of ``ray.kill``: the
     next crawl in this Ray session reuses them (see ``_WarmActors``).
     Call it once the crawl no longer needs them; Datasets over blocks
-    they drained stay valid."""
+    they drained, and records still queued on ``pool``, stay valid."""
     _WARM.release([(FrontierPartition, actors),
-                   (_DiscoverWorker, discover_workers)])
+                   (_DiscoverWorker, discover_workers),
+                   (_FetchParseWorker, pool)])
 
 
 def offer_seeds(actors, seeds, num_partitions, offer_batch_size=65536,
@@ -289,13 +305,14 @@ def drain_admissions_chunked(actors, target_rows=1 << 18, seal=False):
                               [m for ms in metas for m in ms])
 
 
-def admissions_dataset(blocks, metas):
-    """``ray.data.from_arrow_refs(blocks)`` for ADMIT_SCHEMA blocks whose
-    ``(num_rows, size_bytes, ...)`` the frontier already returned
-    (:meth:`FrontierPartition.drain_block`).  from_arrow_refs reads
-    them with one 1-CPU task per block, and each such task can
-    cold-start a worker that imports ``ray.data`` (~1.5 s); this
-    builds the same Dataset from the given metadata, no task at all."""
+def admissions_dataset(blocks, metas, schema=ADMIT_SCHEMA):
+    """``ray.data.from_arrow_refs(blocks)`` for ``schema`` blocks whose
+    ``(num_rows, size_bytes, ...)`` the caller already knows (the
+    frontier returns them, :meth:`FrontierPartition.drain_block`).
+    from_arrow_refs reads them with one 1-CPU task per block, and
+    each such task can cold-start a worker that imports ``ray.data``
+    (~1.5 s); this builds the same Dataset from the given metadata,
+    no task at all, and does not wait for the blocks."""
     from ray.data._internal.logical.interfaces import LogicalPlan
     from ray.data._internal.logical.operators.from_operators import \
         FromArrow
@@ -308,7 +325,7 @@ def admissions_dataset(blocks, metas):
     meta = [BlockMetadataWithSchema(
         BlockMetadata(num_rows=int(m[0]), size_bytes=int(m[1]),
                       input_files=None, exec_stats=None),
-        schema=ADMIT_SCHEMA) for m in metas]
+        schema=schema) for m in metas]
     plan = ExecutionPlan(DatasetStats(metadata={"FromArrow": meta},
                                       parent=None),
                          DataContext.get_current().copy())
@@ -316,59 +333,40 @@ def admissions_dataset(blocks, metas):
         plan, LogicalPlan(FromArrow(list(blocks), meta), plan._context))
 
 
-# CPU reservation of each fused fetch+parse actor
-POOL_ACTOR_CPUS = 0.5
+class _FetchParseWorker(_Reusable, FetchParseStage):
+    """Persistent actor hosting the fused fetch+parse stage across
+    crawls (wrapped with ``ray.remote`` by ``_WARM``; plain class so
+    tests can instantiate it directly)."""
+
+    def run(self, block: pa.Table, start: int, n: int) -> pa.Table:
+        return self(block.slice(start, n))
 
 
-def _fused_pool_size(want):
-    """Actors for the fused fetch+parse pool: ``want``, capped by the
-    CPUs free when the stream is built.  Fixed size, because
-    autoscaling from 1 adds one actor per ~1-2 s actor start-up, too
-    slowly for a CPU-bound stage.  The frontier actors already hold
-    their CPUs and the pool's input is materialized refs, so nothing
-    upstream needs one.
-
-    ALSO capped at max(8, cpus/2): the zlib-dominated decode is
-    memory-streaming, and measured throughput at 32 CPUs is ~15%
-    HIGHER with 16 actors than 32 (less shared-DRAM thrash), while
-    <= 8-CPU sessions are compute-bound and want every core.
-
-    An earlier Dataset's pool actors can outlive its stream: Ray Data
-    drops their handles and leaves the rest to reference counting,
-    and a handle caught in a reference cycle lives until Python's
-    cyclic collector runs, seconds later on back-to-back crawls.  So
-    when the pool would come out short of all but one actor's share
-    of the session, collect once and wait (at most 0.5 s) for those
-    CPUs to come back."""
-    import gc
-    import time
-
+def acquire_pool(images, width=4, verify_pixels=True, drop_bytes=False):
+    """The fused fetch+parse pool for ``fetch_and_parse(pool=)``:
+    ``width`` actors, capped at max(8, cpus/2) (lesson 5) and at two
+    per CPU of the session less one.  Idle ones are reset with the
+    corpus; the rest start now, so their start-up overlaps whatever
+    the caller does before the first block arrives."""
     import ray
 
-    total = ray.cluster_resources().get("CPU", 8)
-    want = max(1, min(want, max(8, int(total) // 2)))
-    enough = min(want, int(total / POOL_ACTOR_CPUS) - 1)
-
-    def fits():
-        return int(ray.available_resources().get("CPU", 0.0)
-                   / POOL_ACTOR_CPUS)
-
-    n = fits()
-    if n < enough:
-        gc.collect()
-        deadline = time.monotonic() + 0.5
-        while n < enough and time.monotonic() < deadline:
-            time.sleep(0.01)
-            n = fits()
-    return max(1, min(want, n))
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    width = max(1, min(width, max(8, cpus // 2), 2 * cpus - 1))
+    images_ref = images if isinstance(images, (str, list, tuple)) \
+        else ray.put(images)
+    return _WARM.acquire(
+        _FetchParseWorker,
+        [((images_ref, verify_pixels, drop_bytes), {})] * width)
 
 
 def fetch_and_parse(admissions_ds, images, *, fetch_concurrency=4,
                     parse_concurrency=4, batch_size=1024,
-                    verify_pixels=True, drop_bytes=False):
-    """The streaming fetch+parse pipeline over admission rows: ONE
-    fused actor pool (stages.FetchParseStage), so payload bytes never
-    transit the object store between stages.
+                    verify_pixels=True, drop_bytes=False, pool=None):
+    """The fetch+parse stage over admission rows: each ``batch_size``
+    slice of each admissions block goes to one actor of the fused pool
+    (``_FetchParseWorker``, the one given the fewest rows so far), so
+    payload bytes never transit the object store between fetch and
+    parse, and a few big blocks still keep the whole pool busy.
 
     ``images`` may be a pyarrow Table (small corpus — broadcast to
     every fetch actor) or a parquet path/dir (STORED corpus — actors
@@ -376,37 +374,36 @@ def fetch_and_parse(admissions_ds, images, *, fetch_concurrency=4,
     stages.KeyedFetchStage; this is the only shape that survives a
     corpus that doesn't fit one worker's heap).
 
-    The pool is only as wide as its input block count (a task never
-    spans blocks), and a few big blocks leave actors idle while the
-    largest finishes.  Feed it blocks of about ``batch_size`` rows
-    (run_crawl drains in chunks of that size).  The returned Dataset
-    keeps its input block order, so output row order is the same at
-    any pool width."""
-    import ray
-    from ray.data.dataset import MaterializedDataset
+    ``pool`` comes from :func:`acquire_pool` over the same ``images``,
+    ``verify_pixels`` and ``drop_bytes``, and stays the caller's to
+    release; without one, one is acquired and released here.
 
-    images_ref = images if isinstance(images, (str, list, tuple)) \
-        else ray.put(images)
-    want = max(fetch_concurrency, parse_concurrency)
-    if isinstance(admissions_ds, MaterializedDataset):
-        want = min(want, admissions_ds.num_blocks())
-    n_actors = _fused_pool_size(want)
-    records = admissions_ds.map_batches(
-        FetchParseStage,
-        fn_constructor_args=(images_ref, verify_pixels, drop_bytes),
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=n_actors, num_cpus=POOL_ACTOR_CPUS,
-        max_restarts=0)  # ctor args hold an ObjectRef; Ray Data
-                         # retries tasks itself (ray#53727 warning)
-    # set on this Dataset's own context, not the global one:
-    # - a parallel pool finishes blocks out of order; keep drain order
-    # - Ray Data queues up to 4 tasks on the first ready actor, so
-    #   partition-sized blocks would run back to back on one actor;
-    #   dispatch one at a time to whichever actor is idle
-    ctx = records.context
-    ctx.execution_options.preserve_order = True
-    ctx.max_tasks_in_flight_per_actor = 1
-    return records
+    Returns at once: the records Dataset is built from the result refs
+    and the admissions' row counts (rows are 1:1), so ``count()`` and
+    ``schema()`` answer without waiting, and iterating it yields the
+    blocks in admissions order as each one finishes.  Every call is
+    queued when this returns and nothing throttles it by consumption:
+    the records are computed whether or not anyone reads them, and
+    what exceeds the object store spills to disk."""
+    own = pool is None
+    pool = pool or acquire_pool(images, max(fetch_concurrency,
+                                            parse_concurrency),
+                                verify_pixels, drop_bytes)
+    pieces = [(ref, s, min(batch_size, m.num_rows - s), m)
+              for ref, m in admissions_ds._plan.execute().blocks
+              for s in range(0, m.num_rows, batch_size)]
+    load, outs = [0] * len(pool), []
+    for ref, s, n, _ in pieces:         # to the actor with fewest rows
+        k = load.index(min(load))
+        load[k] += n
+        outs.append(pool[k].run.remote(ref, s, n))
+    if own:
+        _WARM.release([(_FetchParseWorker, pool)])
+    # size_bytes: the admissions' share (a lower bound, for estimates)
+    return admissions_dataset(
+        outs, [(n, (m.size_bytes or 0) * n // m.num_rows)
+               for _, _, n, m in pieces],
+        FetchParseStage.output_schema(images, drop_bytes))
 
 
 def run_crawl(images, seeds, politeness, *, num_partitions=4,
@@ -417,17 +414,20 @@ def run_crawl(images, seeds, politeness, *, num_partitions=4,
               spill_dir=None, spill_threshold_rows=None):
     """Full crawl.  Returns dict with the records Dataset and metrics.
 
-    One path: offer the seeds, seal once, checkpoint the sealed
-    frontier if ``checkpoint_dir`` is set, then drain admissions in
-    chunks of the fetch+parse pool's own ``batch_size`` (bounded
-    blocks, see :func:`drain_admissions_chunked`), so the pool sees
-    many blocks and runs at full width (see :func:`fetch_and_parse`).
-    The frontier actors are released, not killed, so the next crawl in
-    this Ray session starts on warm ones."""
+    One path: acquire the fetch+parse pool (a cold one starts while
+    the frontier works), offer the seeds, seal once, checkpoint the
+    sealed frontier if ``checkpoint_dir`` is set, then drain
+    admissions in chunks of ``batch_size`` (bounded blocks, see
+    :func:`drain_admissions_chunked`) and hand them to the pool (see
+    :func:`fetch_and_parse`).  All actors are released, not killed, so
+    the next crawl in this Ray session starts on warm ones; this
+    returns before the records are computed."""
     import ray
 
     pol_rows = politeness.to_pylist() if isinstance(politeness, pa.Table) \
         else list(politeness)
+    pool = acquire_pool(images, max(fetch_concurrency, parse_concurrency),
+                        verify_pixels, drop_bytes)
     actors = start_frontier(pol_rows, num_partitions, salted_hosts,
                             capacity_per_partition=frontier_capacity,
                             spill_dir=spill_dir,
@@ -442,15 +442,13 @@ def run_crawl(images, seeds, politeness, *, num_partitions=4,
     records = fetch_and_parse(
         admissions, images, fetch_concurrency=fetch_concurrency,
         parse_concurrency=parse_concurrency, batch_size=batch_size,
-        verify_pixels=verify_pixels, drop_bytes=drop_bytes)
+        verify_pixels=verify_pixels, drop_bytes=drop_bytes, pool=pool)
+    metrics = ray.get([a.get_metrics.remote() for a in actors])
+    release_frontier(actors, pool=pool)
     if output_dir:
-        # 0-CPU write tasks: the pool holds the free CPUs until its
-        # input is done, and a 1-CPU write queued behind it deadlocks
-        # the stream once the pool's output fills the object store
+        # 0-CPU write tasks: they only wait on the pool and do IO
         records.write_parquet(output_dir, ray_remote_args={"num_cpus": 0})
         records = ray.data.read_parquet(output_dir)
-    metrics = ray.get([a.get_metrics.remote() for a in actors])
-    release_frontier(actors)
     return {"records": records, "metrics": metrics, "offered": offered}
 
 
@@ -459,7 +457,7 @@ def run_crawl(images, seeds, politeness, *, num_partitions=4,
 N_DISCOVER_WORKERS = 4
 
 
-class _DiscoverWorker:
+class _DiscoverWorker(_Reusable):
     """Persistent actor hosting a DiscoverRouteStage across iterative
     rounds, and across crawls once released (wrapped with
     ``ray.remote`` at start; plain class so tests can instantiate it
@@ -472,13 +470,6 @@ class _DiscoverWorker:
         self.stage = DiscoverRouteStage(
             discover_fn, actors, num_partitions, salted_hosts,
             discover_batch_fn=discover_batch_fn)
-
-    def reset(self, *args) -> None:
-        """Drop the stage (its discover function, frontier handles and
-        buffered offers); with constructor arguments, start over."""
-        self.__dict__.clear()
-        if args:
-            self.__init__(*args)
 
     def process(self, table: pa.Table) -> int:
         # extraction only — delivery happens at the caller's flush()
@@ -611,9 +602,6 @@ def run_iterative_crawl(seeds, politeness, discover_fn, *,
             raise ValueError(
                 f"checkpoint has {meta['num_partitions']} partitions, "
                 f"resume requested {num_partitions}")
-    # take the warm discover workers before the frontier, which kills
-    # every idle actor it does not take
-    idle_workers = _WARM.take(_DiscoverWorker, N_DISCOVER_WORKERS)
     if resume:
         actors = restore_frontier(
             os.path.join(checkpoint_dir, f"gen={meta['gen']}"),
@@ -637,8 +625,7 @@ def run_iterative_crawl(seeds, politeness, discover_fn, *,
     args = (discover_fn, actors, num_partitions, salted_hosts,
             discover_batch_fn)
     workers = _WARM.acquire(_DiscoverWorker,
-                            [(args, {})] * N_DISCOVER_WORKERS,
-                            taken=idle_workers)
+                            [(args, {})] * N_DISCOVER_WORKERS)
 
     for it in range(max_iters):
         tables = ray.get([a.drain.remote(rounds_per_iter) for a in actors])

@@ -68,6 +68,10 @@ def run_resumable_crawl(images, seeds, politeness, *, output_dir: str,
     pol_rows = politeness.to_pylist() if isinstance(politeness, pa.Table) \
         else list(politeness)
 
+    # one fetch+parse pool for every partition, started before the
+    # frontier so its start-up overlaps the offer
+    fetchers = cp.acquire_pool(images, max(fetch_concurrency,
+                                           parse_concurrency))
     ckpt_marker = os.path.join(checkpoint_dir, "part=0", "state.pkl")
     if os.path.exists(ckpt_marker):
         actors = cp.restore_frontier(checkpoint_dir, num_partitions)
@@ -84,21 +88,21 @@ def run_resumable_crawl(images, seeds, politeness, *, output_dir: str,
 
     def process(pid: int) -> int:
         # drain fires when the partition's processing starts, so at
-        # most ~max_workers admission tables are live in the object
-        # store at once; the driver never holds one, only the row
-        # count and byte size the actor returns beside it
-        block, meta_ref = actors[pid].drain_block.options(
-            num_returns=2).remote()
-        meta = ray.get(meta_ref)
-        n = meta[0]
+        # most ~max_workers partitions' admissions are live in the
+        # object store at once; the driver never holds them, only the
+        # row counts and byte sizes.  batch_size chunks spread one
+        # partition over the whole pool, starting one actor further
+        # along per partition
+        ds = cp.drain_admissions_chunked([actors[pid]],
+                                         target_rows=batch_size)
+        n = ds.count()
         part_dir = os.path.join(output_dir, f"part={pid}")
         if os.path.exists(part_dir):  # crash leftovers without manifest
             shutil.rmtree(part_dir)
         if n:
-            ds = cp.admissions_dataset([block], [meta])
-            records = cp.fetch_and_parse(
-                ds, images, fetch_concurrency=fetch_concurrency,
-                parse_concurrency=parse_concurrency, batch_size=batch_size)
+            k = pid % len(fetchers)
+            records = cp.fetch_and_parse(ds, images, batch_size=batch_size,
+                                         pool=fetchers[k:] + fetchers[:k])
             if max_rows_per_file is not None:
                 records.write_parquet(part_dir,
                                       max_rows_per_file=max_rows_per_file)
@@ -109,12 +113,12 @@ def run_resumable_crawl(images, seeds, politeness, *, output_dir: str,
         return n
 
     # Pipelined partition processing: a small thread pool overlaps the
-    # per-partition drain+fetch+parse+write pipelines (each is an
-    # independent Ray Data stream; the fractional-CPU actor pools
-    # coexist).  Submission is BOUNDED (one spare beyond the pool), so
-    # a simulated crash stops new partitions immediately — only the
-    # <= max_workers in-flight pipelines run to waste, becoming
-    # unmanifested leftovers that resume cleans up.  All bookkeeping
+    # per-partition drain+fetch+parse+write pipelines, whose fetch+parse
+    # calls share the one actor pool.  Submission is BOUNDED (one spare
+    # beyond the thread pool), so a simulated crash stops new
+    # partitions immediately — only the <= max_workers in-flight
+    # pipelines run to waste, becoming unmanifested leftovers that
+    # resume cleans up.  All bookkeeping
     # (manifest, stop) happens on this thread; the manifest stays
     # per-partition atomic, written in completion order.
     from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
@@ -177,9 +181,9 @@ def run_resumable_crawl(images, seeds, politeness, *, output_dir: str,
                     else:
                         submit_next()  # refill the bounded window
     finally:
-        # hand the frontier actors back, also after a failed partition
-        # write: release resets them, so nothing of this crawl leaks
-        cp.release_frontier(actors)
+        # hand the actors back, also after a failed partition write:
+        # release resets them, so nothing of this crawl leaks
+        cp.release_frontier(actors, pool=fetchers)
     return manifest
 
 

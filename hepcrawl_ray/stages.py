@@ -28,7 +28,8 @@ import pyarrow as pa
 
 from hepcrawl_ray import codecs, urlkit
 from hepcrawl_ray.caption import parse_caption_batch
-from hepcrawl_ray.frontier import canonicalize_batch, offer_routed
+from hepcrawl_ray.frontier import (ADMIT_SCHEMA, canonicalize_batch,
+                                   offer_routed)
 from hepcrawl_ray.synth import GOLDEN_SCHEMA
 
 FETCH_ERROR_NOT_FOUND = "fetch failed: image not found"
@@ -91,6 +92,19 @@ class FetchStage:
         return _fetch_output(batch, ids_arr, found, taken)
 
 
+def _corpus_files(corpus_path) -> list:
+    """The parquet files of a STORED corpus: a file, a list of files,
+    or a directory of them."""
+    import glob
+    import os
+
+    if isinstance(corpus_path, (list, tuple)):
+        return list(corpus_path)
+    if os.path.isdir(corpus_path):
+        return sorted(glob.glob(os.path.join(corpus_path, "*.parquet")))
+    return [corpus_path]
+
+
 class KeyedFetchStage:
     """Batched keyed lookup against the STORED corpus — the 100-TB
     fetch shape.  Actors hold O(manifest + a few row groups), never
@@ -116,21 +130,13 @@ class KeyedFetchStage:
     key spread, NOT the total number of row groups."""
 
     def __init__(self, corpus_path, cache_rowgroups: int = 8):
-        import glob
-        import os
         from collections import OrderedDict
 
         import pyarrow.parquet as pq
 
-        if isinstance(corpus_path, (list, tuple)):
-            paths = list(corpus_path)
-        elif os.path.isdir(corpus_path):
-            paths = sorted(glob.glob(os.path.join(corpus_path, "*.parquet")))
-        else:
-            paths = [corpus_path]
         self.files = []
         mins, maxs, locs = [], [], []
-        for path in paths:
+        for path in _corpus_files(corpus_path):
             f = pq.ParquetFile(path)
             ki = f.schema_arrow.get_field_index("image_id")
             for rg in range(f.metadata.num_row_groups):
@@ -268,6 +274,22 @@ class FetchParseStage:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         return self.parse(self.fetch(batch))
+
+    @staticmethod
+    def output_schema(images, drop_bytes: bool = False) -> pa.Schema:
+        """Schema of the records this stage makes from ADMIT_SCHEMA
+        rows over corpus ``images`` (a table, or the parquet path(s) a
+        stored corpus lives in): the stage's own output for zero rows,
+        so it cannot drift from the real one."""
+        import pyarrow.parquet as pq
+
+        corpus = images.schema if isinstance(images, pa.Table) \
+            else pq.read_schema(_corpus_files(images)[0])
+        fetched = _fetch_output(ADMIT_SCHEMA.empty_table(),
+                                pa.array([], pa.string()),
+                                np.zeros(0, dtype=bool),
+                                corpus.empty_table())
+        return ParseStage(drop_bytes=drop_bytes)(fetched).schema
 
 
 class ParseStage:

@@ -281,6 +281,242 @@ class TestAdmissionsDataset:
             cp.drain_admissions_chunked([], seal=True)
 
 
+@pytest.fixture
+def pool_spy(monkeypatch):
+    """Records the fetch+parse pool each acquire_pool call returns."""
+    calls = []
+    real = cp.acquire_pool
+
+    def spy(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(cp, "acquire_pool", spy)
+    return calls
+
+
+def _distinct_seeds(images, n):
+    """``n`` distinct URLs over the corpus images (hosts 0-5), so a
+    crawl has as much fetch+parse work as wanted."""
+    ids = images.column("image_id").to_pylist()
+    return pa.table({
+        "url": [f"http://host{i % 6}.example.org/set{i % 3}/r{i}/"
+                f"{ids[i % len(ids)]}" for i in range(n)],
+        "host": [f"host{i % 6}.example.org" for i in range(n)],
+        "set_id": [f"set{i % 3}" for i in range(n)],
+        "priority": np.zeros(n),
+        "seq": np.arange(n, dtype=np.int64),
+        "mtime": np.full(n, 1000, dtype=np.int64),
+        "dup_of": pa.nulls(n, pa.string()),
+    }, schema=synth.SEEDS_SCHEMA)
+
+
+def _stage_records(records, images, verify_pixels, drop_bytes):
+    """What a new in-process FetchParseStage makes of the admission
+    columns of ``records``."""
+    from hepcrawl_ray.frontier import ADMIT_SCHEMA
+    from hepcrawl_ray.stages import FetchParseStage
+
+    stage = FetchParseStage(images, verify_pixels, drop_bytes)
+    return stage(records.select(ADMIT_SCHEMA.names))
+
+
+class TestPoolReuse:
+    def test_reused_pool_equals_new_stage(self, ray_session, corpus,
+                                          tmp_path, pool_spy):
+        """Back-to-back crawls on the same fetch+parse actors, switching
+        the corpus between a table and a parquet path and flipping
+        verify_pixels / drop_bytes: each crawl's records equal a new
+        stage's, row for row, and its schedule equals the simulator's."""
+        import pyarrow.parquet as pq
+
+        images, seeds, politeness = corpus
+        path = str(tmp_path / "corpus.parquet")
+        pq.write_table(images.sort_by("image_id"), path, row_group_size=16)
+        ref = simulate(seeds.to_pylist(), politeness.to_pylist())
+        want = [(r, h, u, s) for (r, h, u, s, _p, _m) in ref.admissions]
+        runs = [(images, True, False), (path, False, True),
+                (images, False, True), (path, True, False),
+                (images, True, False)]
+        for imgs, verify, drop in runs:
+            out, table = _crawl(imgs, seeds, politeness, num_partitions=3,
+                                verify_pixels=verify, drop_bytes=drop,
+                                batch_size=16)
+            assert _order(table) == want
+            assert ("bytes" in table.column_names) is not drop
+            assert table.equals(_stage_records(table, imgs, verify, drop))
+            if verify:
+                assert table.column("pixels_verified").to_pylist() \
+                    == [e is None for e in
+                        table.column("fetch_error").to_pylist()]
+        # every crawl after the first ran on the previous one's actors
+        assert all(len(p) == 2 for p in pool_spy)
+        for prev, cur in zip(pool_spy, pool_spy[1:]):
+            assert set(prev) == set(cur)
+
+    def test_killed_idle_pool_actor_is_replaced(self, ray_session, corpus,
+                                                pool_spy):
+        import ray
+
+        images, seeds, politeness = corpus
+        _crawl(images, seeds, politeness, num_partitions=2)
+        first = pool_spy[-1]
+        ray.kill(first[0])
+        _wait_dead(first[0])
+        _, table = _crawl(images, seeds, politeness, num_partitions=2)
+        second = pool_spy[-1]
+        assert first[0] not in second and first[1] in second
+        assert table.equals(_stage_records(table, images, True, False))
+
+    def test_records_count_and_schema_without_executing(
+            self, ray_session, corpus, monkeypatch):
+        from ray.data._internal.plan import ExecutionPlan
+
+        images, seeds, politeness = corpus
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the Dataset executed")
+
+        for drop in (False, True):
+            out = cp.run_crawl(images, seeds, politeness, num_partitions=2,
+                               fetch_concurrency=2, parse_concurrency=2,
+                               drop_bytes=drop, batch_size=16)
+            drained = sum(m["drained"] for m in out["metrics"])
+            with monkeypatch.context() as m:
+                m.setattr(ExecutionPlan, "execute", boom)
+                m.setattr(ExecutionPlan, "execute_to_iterator", boom)
+                assert out["records"].count() == drained > 0
+                schema = out["records"].schema().base_schema
+            rows = pa.concat_tables(out["records"].iter_batches(
+                batch_size=None, batch_format="pyarrow"))
+            assert rows.num_rows == drained
+            assert schema == rows.schema
+
+    def test_records_survive_the_next_crawl(self, ray_session, corpus):
+        """run_crawl returns before its records are computed and hands
+        its pool back at once; the next crawl kills that idle pool, and
+        the records still come back whole, because a kill waits for the
+        calls already queued on the actor."""
+        images, _, politeness = corpus
+        seeds = _distinct_seeds(images, 6000)
+        out = cp.run_crawl(images, seeds, politeness, num_partitions=2,
+                           fetch_concurrency=2, parse_concurrency=2,
+                           batch_size=32)
+        tree_seeds, discover = _tree(40)
+        pol = pa.table({"host": ["host1.example.org"],
+                        "max_concurrency": [2], "min_delay_ms": [0],
+                        "robots_disallow": [[]]},
+                       schema=synth.POLITENESS_SCHEMA)
+        cp.run_iterative_crawl(tree_seeds, pol, discover, num_partitions=2)
+        assert not any(c is cp._FetchParseWorker for c, _ in cp._WARM._idle)
+        table = pa.concat_tables(out["records"].iter_batches(
+            batch_size=None, batch_format="pyarrow"))
+        assert table.num_rows == seeds.num_rows
+        assert table.equals(_stage_records(table, images, True, False))
+
+    def test_room_for_a_1cpu_task_after_run_crawl(self, ray_session,
+                                                  corpus):
+        """The 1-CPU floor holds when the iterative crawl follows a
+        run_crawl whose fetch+parse pool went idle."""
+        images, seeds, politeness = corpus
+        _crawl(images, seeds, politeness, num_partitions=2)
+        assert any(c is cp._FetchParseWorker for c, _ in cp._WARM._idle)
+        TestIterativeReuse().test_idle_actors_leave_room_for_a_1cpu_task(
+            ray_session)
+        assert not any(c is cp._FetchParseWorker
+                       for c, _ in cp._WARM._idle)
+
+
+class TestPoolFaults:
+    def test_killed_pool_actor_fails_the_stream(self, ray_session, corpus,
+                                                pool_spy):
+        """A fetch+parse actor killed while the records it owes are
+        still queued: iterating the records raises a RayActorError
+        promptly instead of hanging, and the next crawl runs on a
+        replacement."""
+        import ray
+
+        images, _, politeness = corpus
+        seeds = _distinct_seeds(images, 3000)
+        out = cp.run_crawl(images, seeds, politeness, num_partitions=2,
+                           fetch_concurrency=2, parse_concurrency=2,
+                           batch_size=32)
+        dead = pool_spy[-1][0]
+        ray.kill(dead)
+        caught = []
+
+        def consume():
+            try:
+                for _ in out["records"].iter_batches(
+                        batch_size=None, batch_format="pyarrow"):
+                    pass
+            except Exception as exc:      # noqa: BLE001 - inspected below
+                # the type only: the exception's traceback would keep the
+                # stream's executor alive past the Ray session
+                caught.append(type(exc))
+
+        th = threading.Thread(target=consume, daemon=True)
+        th.start()
+        th.join(timeout=120)
+        assert not th.is_alive(), "records stream hung on a dead actor"
+        assert len(caught) == 1, "the stream ended without an error"
+        assert issubclass(caught[0], ray.exceptions.RayActorError), \
+            caught[0]
+        _, table = _crawl(images, corpus[1], politeness, num_partitions=2)
+        assert dead not in pool_spy[-1]
+        assert table.equals(_stage_records(table, images, True, False))
+
+    def test_records_larger_than_the_object_store(self):
+        """A crawl that keeps the image bytes, in a session whose
+        ~80 MB object store is smaller than its records: the calls all
+        run at once, what does not fit spills to disk, and the records
+        come back exact."""
+        script = textwrap.dedent("""
+            import sys
+
+            import numpy as np
+            import pyarrow as pa
+            import ray
+
+            sys.path.insert(0, %(tests)r)
+            from test_warm_actors import _distinct_seeds, _stage_records
+
+            from hepcrawl_ray import synth
+            from hepcrawl_ray.pipelines import crawl as cp
+
+            store = 80 * 1024 * 1024
+            ray.init(address="local", num_cpus=2, object_store_memory=store,
+                     include_dashboard=False, logging_level="ERROR")
+            images, _ = synth.generate_corpus(64, size_range=(96, 128))
+            seeds = _distinct_seeds(images, 9000)
+            pol = synth.generate_politeness()
+            out = cp.run_crawl(images, seeds, pol, num_partitions=2,
+                               fetch_concurrency=2, parse_concurrency=2,
+                               batch_size=512, drop_bytes=False)
+            n, size, digest = 0, 0, []
+            for b in out["records"].iter_batches(batch_size=None,
+                                                 batch_format="pyarrow"):
+                assert b.equals(_stage_records(b, images, True, False))
+                n += b.num_rows
+                size += b.nbytes
+                digest.append(b.column("seq").to_numpy())
+            assert n == seeds.num_rows, n
+            assert size > store, size
+            assert np.array_equal(np.sort(np.concatenate(digest)),
+                                  np.arange(seeds.num_rows))
+            ray.shutdown()
+            print("ok", n, size)
+        """) % {"tests": os.path.dirname(os.path.abspath(__file__))}
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=root,
+                              env=env, capture_output=True, text=True,
+                              timeout=600)
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        assert proc.stdout.strip().splitlines()[-1].startswith("ok")
+
+
 def _wait_dead(handle):
     """ray.kill is asynchronous: wait until calls on ``handle`` fail."""
     import ray
@@ -380,14 +616,19 @@ class TestIdleList:
                 assert list(zip(*(t.column(c).to_pylist() for c in
                                   ("round", "host", "url", "seq")))) == ref
 
+            def idle_classes():
+                return sorted(c.__name__ for c, _ in cp._WARM._idle)
+
+            # the two frontier partitions and the 1-actor fetch+parse pool
+            kept = ["FrontierPartition"] * 2 + ["_FetchParseWorker"]
             crawl()
             first = cp._WARM._session
-            assert len(cp._WARM._idle) == 2
+            assert idle_classes() == kept
             ray.shutdown()
             cp._WARM._idle = [(c, NoCalls()) for c, _ in cp._WARM._idle]
             crawl()
             assert cp._WARM._session != first
-            assert len(cp._WARM._idle) == 2
+            assert idle_classes() == kept
             assert not any(isinstance(h, NoCalls)
                            for _, h in cp._WARM._idle)
             ray.shutdown()
