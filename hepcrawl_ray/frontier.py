@@ -83,29 +83,54 @@ ADMIT_SCHEMA = pa.schema([
 
 
 def canonicalize_batch(batch: pa.Table) -> pa.Table:
-    """Stateless map_batches body: url -> canonical/hash/host/path columns.
+    """url -> canonical/hash/host/path columns (OFFER_SCHEMA).
 
     Runs before routing; the canonical identity mirrors the reference's
     per-field ``canonicalize_url`` (reference: hepcrawl/loaders.py:162-164).
+    Rows that are canonical already (``urlkit.CANONICAL_PATTERN``, one
+    RE2 pass) take host and path from one split at "/"; only the others
+    run ``canonicalize_url``, ``host_of`` and the path rule in Python.
+    The hash stays blake2: it keys the seen set, the salting sub index
+    and the checkpoint format.
     """
-    urls = batch.column("url").to_pylist()
-    canon = urlkit.canonicalize_many(urls)
-    hashes = urlkit.hash64_many(canon)
-    hosts = urlkit.host_many(canon)
-    paths = [c.split("://", 1)[-1] for c in canon]
-    paths = [p[p.find("/"):] if "/" in p else "/" for p in paths]
+    n = batch.num_rows
+    urls = batch.column("url").combine_chunks().cast(pa.string())
+    fast = pc.fill_null(pc.match_substring_regex(
+        urls, pattern=urlkit.CANONICAL_PATTERN), False)
+    # "scheme://host/rest" -> ["scheme:", "", host, rest]; the other
+    # rows split a placeholder and are overwritten below
+    split = pc.split_pattern(pc.if_else(fast, urls, "x://x/"), "/",
+                             max_splits=3)
+    canon = urls
+    hosts = pc.list_element(split, 2)
+    paths = pc.binary_join_element_wise("", pc.list_element(split, 3), "/")
+    slow = np.flatnonzero(~fast.to_numpy(zero_copy_only=False))
+    if len(slow):
+        rows = [urlkit.canonicalize_url(u)
+                for u in urls.take(pa.array(slow)).to_pylist()]
+        tails = [c.split("://", 1)[-1] for c in rows]
+        mask = pc.invert(fast)
+
+        def put(col, vals):
+            return pc.replace_with_mask(col, mask, pa.array(vals, pa.string()))
+
+        canon = put(canon, rows)
+        hosts = put(hosts, [urlkit.host_of(c) for c in rows])
+        paths = put(paths, [t[t.find("/"):] if "/" in t else "/"
+                            for t in tails])
+    cols = batch.column_names
     out = {
         "url": canon,
-        "url_hash": hashes,
+        "url_hash": urlkit.hash64_array(canon),
         "host": hosts,
         "path": paths,
-        "priority": batch.column("priority") if "priority" in batch.column_names
-        else np.zeros(len(urls)),
+        "priority": batch.column("priority") if "priority" in cols
+        else np.zeros(n),
         "seq": batch.column("seq"),
-        "mtime": batch.column("mtime") if "mtime" in batch.column_names
-        else np.zeros(len(urls), dtype=np.int64),
-        "set_id": batch.column("set_id") if "set_id" in batch.column_names
-        else [""] * len(urls),
+        "mtime": batch.column("mtime") if "mtime" in cols
+        else np.zeros(n, dtype=np.int64),
+        "set_id": batch.column("set_id") if "set_id" in cols
+        else pa.array([""] * n, pa.string()),
     }
     return pa.table(out, schema=OFFER_SCHEMA)
 
@@ -121,20 +146,26 @@ def route_partition_ids(hosts, url_hashes, num_partitions: int,
     hot host's queue (and its budget shares) spreads over up to ``k``
     actors.  This is the skew mitigation the single-actor-per-host
     design needs at 10^10 URLs.
+
+    ``hosts`` is an Arrow string array (chunked or not) or a Python
+    sequence; one ``dictionary_encode`` pass finds the distinct hosts.
     """
-    hosts_arr = np.asarray(hosts, dtype=object)
+    if isinstance(hosts, pa.ChunkedArray):
+        hosts = hosts.combine_chunks()
+    elif not isinstance(hosts, pa.Array):
+        hosts = pa.array(hosts, pa.string())
     hashes = np.asarray(url_hashes, dtype=np.int64)
-    uniq, inv = np.unique(hosts_arr, return_inverse=True)
+    enc = pc.dictionary_encode(hosts)
+    uniq = enc.dictionary.to_pylist()
+    inv = enc.indices.to_numpy(zero_copy_only=False)
     base = np.array([urlkit.partition_of_host(h, num_partitions)
                      for h in uniq], dtype=np.int64)
     parts = base[inv]
+    where = {h: i for i, h in enumerate(uniq)}
     for h, k in (salted_hosts or {}).items():
-        if k <= 1:
+        if k <= 1 or h not in where:
             continue
-        where = np.nonzero(uniq == h)[0]
-        if not len(where):
-            continue
-        m = inv == where[0]
+        m = inv == where[h]
         subs = hashes[m] % k  # numpy modulo is non-negative for k > 0
         sub_parts = np.array(
             [urlkit.partition_of_host(f"{h}#{s}", num_partitions)
@@ -144,17 +175,20 @@ def route_partition_ids(hosts, url_hashes, num_partitions: int,
 
 
 def offer_routed(actors, offers: pa.Table, num_partitions: int,
-                 salted_hosts: dict[str, int] | None = None) -> list:
+                 salted_hosts: dict[str, int] | None = None) -> int:
     """Send each frontier actor its slice of a canonical OFFER_SCHEMA
-    table (split by :func:`route_partition_ids`).  Returns the
-    ``offer`` refs: ``ray.get`` them when delivery must precede the
-    next seal, or drop them and poll ``buffered_rows`` (duplicate
-    delivery on a task retry is safe — admission dedups)."""
-    parts = route_partition_ids(offers.column("host").to_pylist(),
+    table (split by :func:`route_partition_ids`) and wait until every
+    slice is delivered; returns the rows delivered.  A dead frontier
+    actor raises ``RayActorError`` here.  Duplicate delivery on a retry
+    is safe: admission dedups."""
+    import ray
+
+    parts = route_partition_ids(offers.column("host"),
                                 offers.column("url_hash").to_numpy(),
                                 num_partitions, salted_hosts)
-    return [actors[int(p)].offer.remote(offers.filter(pa.array(parts == p)))
-            for p in np.unique(parts)]
+    ray.get([actors[int(p)].offer.remote(offers.filter(pa.array(parts == p)))
+             for p in np.unique(parts)])
+    return offers.num_rows
 
 
 def parse_robots_rules(text: str, user_agent: str = "*") \
@@ -348,10 +382,6 @@ class FrontierPartition:
         if table.num_rows:
             self._buffer.append(table)
         return table.num_rows
-
-    def buffered_rows(self) -> int:
-        """Rows delivered but not yet sealed (offer-completion probe)."""
-        return sum(t.num_rows for t in self._buffer)
 
     def seal(self) -> dict:
         """Apply robots + crawl-once rules to the buffered offers (in

@@ -1,12 +1,13 @@
 """The crawl pipeline: seeds -> frontier actors -> fetch -> parse -> write.
 
 Ray-Data restructuring of the reference's spider lifecycle (traced in
-SURVEY.md §3): the driver builds seed rows, a stateless
-``canonicalize_batch`` stage computes crawl identity, a router stage
-pushes rows to host-partitioned frontier actors (worker -> actor data
-flow; the driver only orchestrates), the actors seal + drain the full
-admission schedule in parallel virtual time, and ONE pool of fused
-fetch+parse actors turns each admissions block into a records block.
+SURVEY.md §3): the driver hands seed rows (or parquet row groups) to
+router actors, which compute crawl identity (``canonicalize_batch``)
+and push one merged offer per partition to the host-partitioned
+frontier actors (worker -> actor data flow; the driver only
+orchestrates), the actors seal + drain the full admission schedule in
+parallel virtual time, and ONE pool of fused fetch+parse actors turns
+each admissions block into a records block.
 
 Scale notes (design for 256 nodes / 100 TB, tested single-node):
 
@@ -18,9 +19,9 @@ Scale notes (design for 256 nodes / 100 TB, tested single-node):
   and byte sizes the driver already knows, assembled into Datasets
   from those (``admissions_dataset``) — no driver-side row loop, and
   no task spent reading block metadata.
-- Frontier partitions, discover workers and fetch+parse workers
-  outlive a crawl: the next crawl in the same Ray session resets and
-  reuses them instead of paying actor start-up again (``_WarmActors``).
+- Frontier partitions, routers and fetch+parse workers outlive a
+  crawl: the next crawl in the same Ray session resets and reuses them
+  instead of paying actor start-up again (``_WarmActors``).
 - Output is written as partitioned Parquet under ``output_dir`` so a
   rerun can skip finished partitions; frontier state checkpoints under
   ``checkpoint_dir`` (exact resume, see tests/test_frontier.py).
@@ -28,19 +29,19 @@ Scale notes (design for 256 nodes / 100 TB, tested single-node):
 
 from __future__ import annotations
 
+import glob
+import json
 import os
+import shutil
 import threading
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
-from hepcrawl_ray.frontier import (
-    ADMIT_SCHEMA,
-    FrontierPartition,
-    canonicalize_batch,
-    offer_routed,
-)
-from hepcrawl_ray.stages import FetchParseStage
+from hepcrawl_ray.frontier import ADMIT_SCHEMA, FrontierPartition
+from hepcrawl_ray.stages import (DiscoverRouteStage, FetchParseStage,
+                                 _corpus_files)
 
 
 # CPU share of every actor that can outlive a crawl (_WarmActors).
@@ -50,14 +51,13 @@ WARM_ACTOR_CPUS = 0.05
 
 class _WarmActors:
     """The actors the last finished crawl handed back (frontier
-    partitions, discover workers, fetch+parse workers), for the next
-    crawl in the same Ray session to reuse: a new actor answers its
-    first call ~1.7 s after it is created, a warm one in milliseconds
-    (lesson 18).  Only a session that runs several crawls gains, such
-    as one that runs ``__ray_entry__.entry()`` and then the ``crawl_*``
-    queries, which the registry orders back to back.  A one-crawl
-    session (the ``crawl`` CLI) pays only the resets at release.  The
-    rules:
+    partitions, routers, fetch+parse workers), for the next crawl in
+    the same Ray session to reuse: a new actor answers its first call
+    ~1.7 s after it is created, a warm one in milliseconds (lesson 18).
+    Only a session that runs several crawls gains, such as one that
+    runs ``__ray_entry__.entry()`` and then the ``crawl_*`` queries,
+    which the registry orders back to back.  A one-crawl session (the
+    ``crawl`` CLI) pays only the resets at release.  The rules:
 
     - a released actor is reset to nothing, and a taken one is reset
       with constructor arguments, so it behaves as a new actor;
@@ -66,8 +66,9 @@ class _WarmActors:
       (and a kill, which ends an actor only after its queued calls)
       runs behind them;
     - only the last finished crawl's actors stay idle: a release kills
-      the ones still idle, and a crawl kills the idle actors of each
-      kind it takes beyond what it needs.  They are also killed when
+      the ones still idle (a call outside a crawl that acquired its
+      own, those of its kind only), and a crawl kills the idle actors
+      of each kind it takes beyond what it needs.  They are killed when
       the session would have less than one whole CPU beside them, so a
       1-CPU task always fits;
     - the list belongs to the Ray session that made it (job and node
@@ -91,14 +92,17 @@ class _WarmActors:
         ctx = ray.get_runtime_context()
         return ctx.get_job_id(), ctx.get_node_id()
 
-    def _swap(self, keep):
-        """Make ``keep`` the idle list; returns the handles it replaces
-        (none when they belong to an earlier session)."""
+    def _swap(self, keep, kinds=None):
+        """Make ``keep`` the idle list, or with ``kinds`` put it in
+        place of the idle actors of those classes only; returns the
+        handles it replaces (none when they belong to an earlier
+        session)."""
         key = self._session_key()
         with self._lock:
-            old = [h for _, h in self._idle] if self._session == key else []
-            self._session, self._idle = key, keep
-        return old
+            idle = self._idle if self._session == key else []
+            self._session, self._idle = key, keep + [
+                (c, h) for c, h in idle if kinds and c not in kinds]
+        return [h for c, h in idle if not kinds or c in kinds]
 
     def take(self, cls, n=None):
         """Remove and return up to ``n`` (default: all) idle actors of
@@ -116,15 +120,18 @@ class _WarmActors:
             self._idle = rest
         return taken
 
-    def acquire(self, cls, inits):
+    def acquire(self, cls, inits, at_least=None):
         """One actor of ``cls`` per ``(args, kwargs)`` in ``inits``:
-        idle ones reset with them, then new ones.  Kills the idle
+        idle ones reset with them, then new ones (with ``at_least``,
+        new ones only up to that many actors in all).  Kills the idle
         actors of ``cls`` beyond those; other kinds stay idle."""
         import ray
 
         taken = self.take(cls)
         _kill(taken[len(inits):])
         taken = taken[:len(inits)]
+        if at_least is not None:
+            inits = inits[:max(len(taken), at_least)]
         make = ray.remote(num_cpus=WARM_ACTOR_CPUS)(cls)
         resets = [h.reset.remote(*a, **kw)
                   for h, (a, kw) in zip(taken, inits)]
@@ -138,22 +145,23 @@ class _WarmActors:
                 actors[i] = make.remote(*a, **kw)
         return actors
 
-    def release(self, groups):
+    def release(self, groups, keep_other_kinds=False):
         """Queue a reset to nothing on ``(class, actors)`` groups and
         keep them idle in place of the ones idle now, which are
-        killed.  Waits for nothing: the reset runs after the calls
+        killed (with ``keep_other_kinds``, only those of the released
+        classes).  Waits for nothing: the reset runs after the calls
         already queued on each actor."""
         import ray
 
         flat = [(cls, h) for cls, hs in groups for h in hs]
-        if ray.cluster_resources().get("CPU", 0.0) \
-                - len(flat) * WARM_ACTOR_CPUS < 1.0:
-            _kill([h for _, h in flat] + self._swap([]))
-            return
+        kinds = {cls for cls, _ in groups} if keep_other_kinds else None
         for _, h in flat:
             h.reset.remote()
         kept = {h for _, h in flat}
-        _kill([h for h in self._swap(flat) if h not in kept])
+        _kill([h for h in self._swap(flat, kinds) if h not in kept])
+        if ray.cluster_resources().get("CPU", 0.0) \
+                - len(self._idle) * WARM_ACTOR_CPUS < 1.0:
+            _kill(self._swap([]))
 
 
 def _kill(actors):
@@ -215,48 +223,66 @@ def release_frontier(actors, discover_workers=(), pool=()):
                    (_FetchParseWorker, pool)])
 
 
+def acquire_routers(actors, num_partitions, salted_hosts=None, seeds=None,
+                    discover_fn=None, discover_batch_fn=None):
+    """The router actors (``_DiscoverWorker``) of a crawl on the
+    frontier ``actors``, which carry its seeds and an iterative crawl's
+    links into the partitions: the idle ones, up to
+    ``N_DISCOVER_WORKERS``, and new ones up to that many or to one per
+    piece of ``seeds``, since in a one-crawl session every actor start
+    delays the offer.  Release them with the frontier."""
+    args = (discover_fn, actors, num_partitions, salted_hosts,
+            discover_batch_fn)
+    need = None if seeds is None else len(_seed_pieces(seeds))
+    return _WARM.acquire(_DiscoverWorker, [(args, {})] * N_DISCOVER_WORKERS,
+                         at_least=need)
+
+
+def _seed_pieces(seeds, offer_batch_size=65536):
+    """What one router call offers: an ``offer_batch_size`` slice of a
+    seed table, or a ``(file, row group)`` of parquet seeds (only the
+    footers are read here; the router reads the row group)."""
+    if isinstance(seeds, pa.Table):
+        return [seeds.slice(s, offer_batch_size)
+                for s in range(0, seeds.num_rows, offer_batch_size)]
+    files = _corpus_files(seeds)
+    if not files:      # a directory without top-level parquet files
+        raise ValueError(f"no parquet seed files in {seeds!r}")
+    return [(path, rg) for path in files
+            for rg in range(pq.read_metadata(path).num_row_groups)]
+
+
 def offer_seeds(actors, seeds, num_partitions, offer_batch_size=65536,
-                salted_hosts=None):
-    """Canonicalize + route the seed stream into the frontier actors."""
+                salted_hosts=None, workers=None):
+    """Canonicalize + route ``seeds`` (a table or a parquet file,
+    directory or file list) into the frontier actors through the
+    routers ``workers`` (:func:`acquire_routers` on the same frontier;
+    without them, routers are acquired and released here), one
+    :func:`_seed_pieces` piece per call.  Returns the rows offered, all
+    delivered (:func:`_route`); a dead partition raises RayActorError."""
+    pieces = _seed_pieces(seeds, offer_batch_size)
+    own = workers is None
+    if own:
+        workers = acquire_routers(actors, num_partitions, salted_hosts)
+    try:
+        return _route(workers, "offer", pieces)
+    finally:
+        if own:
+            _WARM.release([(_DiscoverWorker, workers)],
+                          keep_other_kinds=True)
+
+
+def _route(workers, method, pieces):
+    """Hand ``pieces`` to the routers in turn (``method`` "offer": seed
+    rows; "process": admissions to discover links in), then have every
+    router send one merged offer per partition (lesson 28) and wait
+    for its delivery.  Returns the rows handed out."""
     import ray
 
-    if isinstance(seeds, pa.Table) and seeds.num_rows <= offer_batch_size:
-        # small seed table: one Dataset pass costs ~1.4 s fixed
-        # latency (lesson 15) — dominant for an iterative crawl whose
-        # seed list is a handful of roots.  Canonicalize driver-side
-        # and await delivery, the barrier the polling loop below
-        # provides for the Dataset path.
-        ray.get(offer_routed(actors, canonicalize_batch(seeds),
-                             num_partitions, salted_hosts))
-        return seeds.num_rows
-    if isinstance(seeds, pa.Table):
-        # from_arrow(table) is ONE block -> single-task map stages; slice
-        # into chunks (zero-copy) so the offer path parallelizes
-        n_chunks = max(1, min(64, seeds.num_rows // max(1, offer_batch_size)))
-        step = -(-seeds.num_rows // n_chunks)
-        refs = [ray.put(seeds.slice(i * step, step))
-                for i in range(n_chunks)]
-        ds = ray.data.from_arrow_refs(refs)
-    else:
-        ds = ray.data.read_parquet(seeds)
-
-    def canonicalize_and_route(batch: pa.Table) -> pa.Table:
-        # fire-and-forget: the driver polls delivered counts before
-        # seal.  Awaiting the refs here cost ~1/3 of perfbench
-        # frontier_dense's URLs/s on a 4-CPU box (a task blocked in
-        # ray.get gives up its CPU)
-        offer_routed(actors, canonicalize_batch(batch), num_partitions,
-                     salted_hosts)
-        return pa.table({"offered": [batch.num_rows]})
-
-    routed = ds.map_batches(canonicalize_and_route, batch_format="pyarrow",
-                            batch_size=offer_batch_size)
-    import time as _time
-
-    total = sum(row["offered"] for row in routed.take_all())
-    while sum(ray.get([a.buffered_rows.remote() for a in actors])) < total:
-        _time.sleep(0.02)
-    return total
+    calls = [getattr(workers[i % len(workers)], method).remote(p)
+             for i, p in enumerate(pieces)]
+    flushes = [w.flush.remote() for w in workers]
+    return sum(ray.get(calls + flushes)[:len(calls)])
 
 
 def drain_admissions_chunked(actors, target_rows=1 << 18, seal=False):
@@ -362,8 +388,9 @@ def acquire_pool(images, width=4, verify_pixels=True, drop_bytes=False):
 def fetch_and_parse(admissions_ds, images, *, fetch_concurrency=4,
                     parse_concurrency=4, batch_size=1024,
                     verify_pixels=True, drop_bytes=False, pool=None):
-    """The fetch+parse stage over admission rows: each ``batch_size``
-    slice of each admissions block goes to one actor of the fused pool
+    """The fetch+parse stage over admission rows: each admissions
+    block is cut into round(rows / ``batch_size``) near-equal slices
+    (at least one), and each slice goes to one actor of the fused pool
     (``_FetchParseWorker``, the one given the fewest rows so far), so
     payload bytes never transit the object store between fetch and
     parse, and a few big blocks still keep the whole pool busy.
@@ -389,16 +416,20 @@ def fetch_and_parse(admissions_ds, images, *, fetch_concurrency=4,
     pool = pool or acquire_pool(images, max(fetch_concurrency,
                                             parse_concurrency),
                                 verify_pixels, drop_bytes)
-    pieces = [(ref, s, min(batch_size, m.num_rows - s), m)
-              for ref, m in admissions_ds._plan.execute().blocks
-              for s in range(0, m.num_rows, batch_size)]
+    pieces = []
+    for ref, m in admissions_ds._plan.execute().blocks:
+        # a drain chunk a few rows over batch_size stays one call
+        k = max(1, round(m.num_rows / batch_size))
+        cuts = [m.num_rows * i // k for i in range(k + 1)]
+        pieces += [(ref, s, e - s, m) for s, e in zip(cuts, cuts[1:])
+                   if e > s]
     load, outs = [0] * len(pool), []
     for ref, s, n, _ in pieces:         # to the actor with fewest rows
         k = load.index(min(load))
         load[k] += n
         outs.append(pool[k].run.remote(ref, s, n))
     if own:
-        _WARM.release([(_FetchParseWorker, pool)])
+        _WARM.release([(_FetchParseWorker, pool)], keep_other_kinds=True)
     # size_bytes: the admissions' share (a lower bound, for estimates)
     return admissions_dataset(
         outs, [(n, (m.size_bytes or 0) * n // m.num_rows)
@@ -414,26 +445,28 @@ def run_crawl(images, seeds, politeness, *, num_partitions=4,
               spill_dir=None, spill_threshold_rows=None):
     """Full crawl.  Returns dict with the records Dataset and metrics.
 
-    One path: acquire the fetch+parse pool (a cold one starts while
-    the frontier works), offer the seeds, seal once, checkpoint the
-    sealed frontier if ``checkpoint_dir`` is set, then drain
-    admissions in chunks of ``batch_size`` (bounded blocks, see
-    :func:`drain_admissions_chunked`) and hand them to the pool (see
-    :func:`fetch_and_parse`).  All actors are released, not killed, so
-    the next crawl in this Ray session starts on warm ones; this
+    One path: acquire the frontier, its routers and the fetch+parse
+    pool (in the order the crawl needs them: a cold pool starts while
+    the seeds are offered), offer the seeds through the routers, seal
+    once, checkpoint the sealed frontier if ``checkpoint_dir`` is set,
+    then drain admissions in ``batch_size`` chunks
+    (:func:`drain_admissions_chunked`) into the pool
+    (:func:`fetch_and_parse`).  All actors are released, not killed,
+    so the next crawl in this Ray session starts on warm ones; this
     returns before the records are computed."""
     import ray
 
     pol_rows = politeness.to_pylist() if isinstance(politeness, pa.Table) \
         else list(politeness)
-    pool = acquire_pool(images, max(fetch_concurrency, parse_concurrency),
-                        verify_pixels, drop_bytes)
     actors = start_frontier(pol_rows, num_partitions, salted_hosts,
                             capacity_per_partition=frontier_capacity,
                             spill_dir=spill_dir,
                             spill_threshold_rows=spill_threshold_rows)
+    routers = acquire_routers(actors, num_partitions, salted_hosts, seeds)
+    pool = acquire_pool(images, max(fetch_concurrency, parse_concurrency),
+                        verify_pixels, drop_bytes)
     offered = offer_seeds(actors, seeds, num_partitions,
-                          salted_hosts=salted_hosts)
+                          salted_hosts=salted_hosts, workers=routers)
     ray.get([a.seal.remote() for a in actors])
     if checkpoint_dir:
         ray.get([a.checkpoint.remote(checkpoint_dir) for a in actors])
@@ -444,7 +477,7 @@ def run_crawl(images, seeds, politeness, *, num_partitions=4,
         parse_concurrency=parse_concurrency, batch_size=batch_size,
         verify_pixels=verify_pixels, drop_bytes=drop_bytes, pool=pool)
     metrics = ray.get([a.get_metrics.remote() for a in actors])
-    release_frontier(actors, pool=pool)
+    release_frontier(actors, routers, pool=pool)
     if output_dir:
         # 0-CPU write tasks: they only wait on the pool and do IO
         records.write_parquet(output_dir, ray_remote_args={"num_cpus": 0})
@@ -452,56 +485,48 @@ def run_crawl(images, seeds, politeness, *, num_partitions=4,
     return {"records": records, "metrics": metrics, "offered": offered}
 
 
-# discover workers per iterative crawl: offer fan-in serializes on the
+# routers (discover workers) per crawl: offer fan-in serializes on the
 # frontier actors' inboxes, so more senders is slower (lesson 28)
 N_DISCOVER_WORKERS = 4
 
 
 class _DiscoverWorker(_Reusable):
-    """Persistent actor hosting a DiscoverRouteStage across iterative
-    rounds, and across crawls once released (wrapped with
-    ``ray.remote`` at start; plain class so tests can instantiate it
-    directly)."""
+    """Router actor (a DiscoverRouteStage) that offers a crawl's seeds
+    and an iterative crawl's links; kept by ``_WARM`` across crawls
+    (a plain class, so tests can instantiate it directly)."""
 
     def __init__(self, discover_fn, actors, num_partitions,
                  salted_hosts, discover_batch_fn=None):
-        from hepcrawl_ray.stages import DiscoverRouteStage
-
         self.stage = DiscoverRouteStage(
             discover_fn, actors, num_partitions, salted_hosts,
             discover_batch_fn=discover_batch_fn)
 
+    def offer(self, seeds) -> int:
+        """Buffer seed rows: a table or a (parquet file, row group)."""
+        if isinstance(seeds, tuple):
+            seeds = pq.ParquetFile(seeds[0]).read_row_group(seeds[1])
+        return self.stage.offer(seeds)
+
     def process(self, table: pa.Table) -> int:
-        # extraction only — delivery happens at the caller's flush()
-        self.stage(table)
+        self.stage(table)          # delivered at flush()
         return table.num_rows
 
     def flush(self) -> int:
-        # offers are delivered (ray.get inside) before this returns —
-        # the caller's ray.get on flush IS the delivery barrier
-        return self.stage.flush()
+        return self.stage.flush()  # returns once delivered
 
 
 def _iter_checkpoint(actors, checkpoint_dir, gen, segments,
                      pending_tables):
     """Atomic iterative-crawl checkpoint, commit-on-meta: frontier
-    partitions snapshot into a FRESH generation directory
-    (``gen=<n>/part=<i>/state.pkl`` — never overwriting the generation
-    the current ``_iter_meta.json`` references), the admissions
-    emitted since the LAST checkpoint land as one parquet segment,
-    and the meta replace commits the set LAST.  A crash anywhere
-    leaves the previously committed (meta, gen, segments) triple in
-    effect: a torn newer gen dir or an orphan segment is simply
-    ignored (and overwritten deterministically) on resume.  Older
-    committed generations are GC'd after the commit.  Reference
-    analog: crawl-once DB + last-run file surviving a killed job
-    (hepcrawl/middlewares.py:101-155,
-    hepcrawl/spiders/common/lastrunstore_spider.py:53-126)."""
-    import glob
-    import json
-    import shutil
-
-    import pyarrow.parquet as pq
+    partitions snapshot into a FRESH ``gen=<n>`` directory, the
+    admissions emitted since the LAST checkpoint land as one parquet
+    segment, and the ``_iter_meta.json`` replace commits the set LAST.
+    A crash anywhere leaves the previously committed (meta, gen,
+    segments) triple in effect; torn newer gens and orphan segments
+    are ignored (and overwritten deterministically) on resume, older
+    gens GC'd after the commit.  Reference analog: crawl-once DB +
+    last-run file surviving a killed job (hepcrawl/middlewares.py:
+    101-155, hepcrawl/spiders/common/lastrunstore_spider.py:53-126)."""
     import ray
 
     gen_dir = os.path.join(checkpoint_dir, f"gen={gen}")
@@ -534,10 +559,6 @@ def _iter_restore(checkpoint_dir):
     """Load the COMMITTED iterative checkpoint (the meta-referenced
     generation only — torn newer gens are ignored) ->
     (meta, admissions)."""
-    import json
-
-    import pyarrow.parquet as pq
-
     with open(os.path.join(checkpoint_dir, "_iter_meta.json")) as f:
         meta = json.load(f)
     tables = [pq.read_table(os.path.join(checkpoint_dir, "admissions", s))
@@ -567,15 +588,12 @@ def run_iterative_crawl(seeds, politeness, discover_fn, *,
     stays the executable spec and the two are equivalence-pinned in
     tests/test_sources_iterative.py.
 
-    Each iteration's admission table is split over
-    ``N_DISCOVER_WORKERS`` persistent actors, each hosting a
-    :class:`~hepcrawl_ray.stages.DiscoverRouteStage` that extracts
-    links and pushes them to the frontier partitions directly
-    (worker -> actor, delivery awaited at the flush barrier) — the
-    driver only runs the per-round seal barrier, never a per-row
-    loop.  Admission is decided over a seq-sorted view at seal, so
-    arrival order cannot change the schedule; the spec is
-    ``sim.simulate_iterative`` (pinned in tests).
+    The crawl's routers (:func:`acquire_routers`) offer the seeds,
+    then each iteration's admissions: they extract links and push them
+    to the frontier partitions directly, and the driver runs only the
+    per-round seal barrier, never a per-row loop.  Admission is decided
+    over a seq-sorted view at seal, so arrival order cannot change the
+    schedule; the spec is ``sim.simulate_iterative`` (pinned in tests).
 
     ``checkpoint_dir`` + ``checkpoint_every=k``: every k iterations,
     after the seal barrier (a quiescent point: all of the round's
@@ -602,30 +620,23 @@ def run_iterative_crawl(seeds, politeness, discover_fn, *,
             raise ValueError(
                 f"checkpoint has {meta['num_partitions']} partitions, "
                 f"resume requested {num_partitions}")
-    if resume:
         actors = restore_frontier(
             os.path.join(checkpoint_dir, f"gen={meta['gen']}"),
             num_partitions)
-        segments = list(meta["segments"])
-        gen = int(meta["gen"])     # monotone: new gens never touch
-    else:                          # the committed one in place
+        # gens are monotone: new ones never touch the committed one
+        segments, gen = list(meta["segments"]), int(meta["gen"])
+    else:
         actors = start_frontier(pol_rows, num_partitions, salted_hosts)
-        offer_seeds(actors, seeds, num_partitions,
-                    salted_hosts=salted_hosts)
+        admissions, segments, gen = [], [], 0
+    # PERSISTENT routers, reused every iteration (a map_batches pool
+    # per iteration pays ~2 s spin-up each time, lesson 15)
+    workers = acquire_routers(actors, num_partitions, salted_hosts,
+                              discover_fn=discover_fn,
+                              discover_batch_fn=discover_batch_fn)
+    if not resume:
+        offer_seeds(actors, seeds, num_partitions, workers=workers)
         ray.get([a.seal.remote() for a in actors])
-        admissions = []
-        segments = []
-        gen = 0
     pending_ckpt: list[pa.Table] = []
-
-    # PERSISTENT discover workers (reused every iteration, and by the
-    # next crawl once released): a fresh map_batches actor pool per
-    # iteration pays ~2 s spin-up per streaming pass (lesson 15),
-    # which dominates an iterative crawl's wall clock.
-    args = (discover_fn, actors, num_partitions, salted_hosts,
-            discover_batch_fn)
-    workers = _WARM.acquire(_DiscoverWorker,
-                            [(args, {})] * N_DISCOVER_WORKERS)
 
     for it in range(max_iters):
         tables = ray.get([a.drain.remote(rounds_per_iter) for a in actors])
@@ -636,20 +647,8 @@ def run_iterative_crawl(seeds, politeness, discover_fn, *,
             continue
         admissions.append(t)
         pending_ckpt.append(t)
-        # discovery runs in the PERSISTENT workers (extraction only,
-        # offers buffered per worker); the flush barrier then delivers
-        # ONE merged offer table per (worker, partition) —
-        # n_workers × n_partitions inbox messages per iteration instead
-        # of one per 4096-row chunk (the fan-in that serialized on the
-        # actors' inboxes, lesson 28)
-        pending, k = [], 0
-        for tb in tables:
-            for s in range(0, tb.num_rows, 4096):
-                pending.append(workers[k % len(workers)]
-                               .process.remote(tb.slice(s, 4096)))
-                k += 1
-        ray.get(pending)
-        ray.get([w.flush.remote() for w in workers])
+        _route(workers, "process", [tb.slice(s, 4096) for tb in tables
+                                    for s in range(0, tb.num_rows, 4096)])
         ray.get([a.seal.remote() for a in actors])  # no-op if empty
         # quiescent point: round's offers delivered AND sealed
         if checkpoint_dir and checkpoint_every \

@@ -785,14 +785,15 @@ def q_crawl_admissions(sf_dir: str):
 
     images, _, seeds, politeness = _crawl_tables(sf_dir)
     actors = cp.start_frontier(politeness.to_pylist(), num_partitions=2)
-    cp.offer_seeds(actors, seeds, 2)
+    routers = cp.acquire_routers(actors, 2, seeds=seeds)
+    cp.offer_seeds(actors, seeds, 2, workers=routers)
     # seal BEFORE drain: offers stay buffered until seal and drain only
     # walks sealed queues (frontier.py); same pattern as run_crawl and
     # q_crawl_seen_set.
     ray.get([a.seal.remote() for a in actors])
     admissions = pa.concat_tables(
         ray.get([a.drain.remote(None) for a in actors]))
-    cp.release_frontier(actors)
+    cp.release_frontier(actors, routers)
     return admissions.sort_by([("round", "ascending"), ("host", "ascending"),
                                ("pop_idx", "ascending")])
 
@@ -864,11 +865,12 @@ def q_crawl_metrics(sf_dir: str):
 
     _, _, seeds, politeness = _crawl_tables(sf_dir)
     actors = cp.start_frontier(politeness.to_pylist(), num_partitions=4)
-    cp.offer_seeds(actors, seeds, 4)
+    routers = cp.acquire_routers(actors, 4, seeds=seeds)
+    cp.offer_seeds(actors, seeds, 4, workers=routers)
     ray.get([a.seal.remote() for a in actors])
     ray.get([a.drain.remote(None) for a in actors])
     metrics = ray.get([a.get_metrics.remote() for a in actors])
-    cp.release_frontier(actors)
+    cp.release_frontier(actors, routers)
     cols = ("offered", "dropped_robots", "dropped_dup",
             "admitted_to_queue", "drained")
     return pa.table({
@@ -2347,11 +2349,12 @@ def q_crawl_seen_set(sf_dir: str):
 
     _, _, seeds, politeness = _crawl_tables(sf_dir)
     actors = cp.start_frontier(politeness.to_pylist(), num_partitions=2)
-    cp.offer_seeds(actors, seeds, 2)
+    routers = cp.acquire_routers(actors, 2, seeds=seeds)
+    cp.offer_seeds(actors, seeds, 2, workers=routers)
     ray.get([a.seal.remote() for a in actors])
     ray.get([a.drain.remote(None) for a in actors])
     hashes = np.concatenate(ray.get([a.seen_hashes.remote() for a in actors]))
-    cp.release_frontier(actors)
+    cp.release_frontier(actors, routers)
     return pa.table({"url_hash": np.sort(hashes)})
 
 

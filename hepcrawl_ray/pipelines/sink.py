@@ -68,17 +68,22 @@ def run_resumable_crawl(images, seeds, politeness, *, output_dir: str,
     pol_rows = politeness.to_pylist() if isinstance(politeness, pa.Table) \
         else list(politeness)
 
-    # one fetch+parse pool for every partition, started before the
-    # frontier so its start-up overlaps the offer
-    fetchers = cp.acquire_pool(images, max(fetch_concurrency,
-                                           parse_concurrency))
     ckpt_marker = os.path.join(checkpoint_dir, "part=0", "state.pkl")
-    if os.path.exists(ckpt_marker):
+    resume = os.path.exists(ckpt_marker)
+    if resume:
         actors = cp.restore_frontier(checkpoint_dir, num_partitions)
+        routers = []
     else:
         actors = cp.start_frontier(pol_rows, num_partitions, salted_hosts)
+        routers = cp.acquire_routers(actors, num_partitions, salted_hosts,
+                                     seeds)
+    # one fetch+parse pool for every partition, acquired after the
+    # actors the offer waits on, so a cold pool starts during the offer
+    fetchers = cp.acquire_pool(images, max(fetch_concurrency,
+                                           parse_concurrency))
+    if not resume:
         cp.offer_seeds(actors, seeds, num_partitions,
-                       salted_hosts=salted_hosts)
+                       salted_hosts=salted_hosts, workers=routers)
         ray.get([a.seal.remote() for a in actors])
         ray.get([a.checkpoint.remote(checkpoint_dir) for a in actors])
 
@@ -183,7 +188,7 @@ def run_resumable_crawl(images, seeds, politeness, *, output_dir: str,
     finally:
         # hand the actors back, also after a failed partition write:
         # release resets them, so nothing of this crawl leaks
-        cp.release_frontier(actors, pool=fetchers)
+        cp.release_frontier(actors, routers, pool=fetchers)
     return manifest
 
 

@@ -368,7 +368,9 @@ class DiscoverRouteStage:
     The production shape of the iterative crawl (reference analog: the
     PoS 3-hop chain, hepcrawl/spiders/pos_spider.py:93-199, where each
     parse callback yields the next request).  ``__call__`` extracts and
-    canonicalizes only; :meth:`flush` delivers ONE merged table per
+    canonicalizes only, and :meth:`offer` canonicalizes seed rows (the
+    routers of ``pipelines.crawl.offer_seeds``, which run no
+    discovery); :meth:`flush` delivers ONE merged table per
     partition and awaits it, so once every worker's flush returns the
     driver can seal.  Per-batch delivery serialized on the frontier
     actors' inboxes (CLAUDE.md lesson 28).  ``buffered`` must be
@@ -397,15 +399,19 @@ class DiscoverRouteStage:
     def flush(self) -> int:
         """Deliver all buffered offers (one merged table per
         partition) and await delivery; returns rows delivered."""
-        import ray
-
         if not self._buf:
             return 0
         offers = pa.concat_tables(self._buf).combine_chunks()
         self._buf = []
-        ray.get(offer_routed(self.actors, offers, self.num_partitions,
-                             self.salted_hosts))
-        return offers.num_rows
+        return offer_routed(self.actors, offers, self.num_partitions,
+                            self.salted_hosts)
+
+    def offer(self, seeds: pa.Table) -> int:
+        """Canonicalize seed rows and buffer them as they are, with no
+        discovery; delivered at :meth:`flush`."""
+        if seeds.num_rows:
+            self._buf.append(canonicalize_batch(seeds))
+        return seeds.num_rows
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if self.discover_batch_fn is not None:

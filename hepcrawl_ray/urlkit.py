@@ -34,9 +34,12 @@ _DEFAULT_PORTS = {"http": "80", "https": "443", "ftp": "21"}
 
 # Fast-path: URLs that are already canonical by construction
 # (lowercase scheme+host, no port, no query, no fragment, simple path).
-_CANONICAL_RE = re.compile(
+# Python matches it with ``fullmatch`` (its ``$`` also matches before a
+# final newline) and Arrow's RE2 with ``match_substring_regex``, whose
+# ``$`` is the end of the text only: both accept the same strings.
+CANONICAL_PATTERN = \
     r"^(https?|ftp)://[a-z0-9.\-]+/([A-Za-z0-9_\-.~]+(/[A-Za-z0-9_\-.~]+)*/?)?$"
-)
+_CANONICAL_RE = re.compile(CANONICAL_PATTERN)
 
 _SAFE_PATH = "/;:@&=+$,!*'()~-._0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -49,7 +52,7 @@ def _norm_component(text: str, safe: str) -> str:
 def canonicalize_url(url: str) -> str:
     """Canonical form of ``url`` (see module docstring for the rules)."""
     url = url.strip()
-    if _CANONICAL_RE.match(url):
+    if _CANONICAL_RE.fullmatch(url):
         return url
     scheme, netloc, path, query, _fragment = urlsplit(url)
     scheme = scheme.lower()
@@ -73,7 +76,7 @@ def canonicalize_url(url: str) -> str:
 
 def canonicalize_many(urls) -> list[str]:
     """Canonicalize a sequence of URLs (used inside ``map_batches``)."""
-    fast = _CANONICAL_RE.match
+    fast = _CANONICAL_RE.fullmatch
     canon = canonicalize_url
     return [u if fast(u) else canon(u) for u in urls]
 
@@ -86,11 +89,22 @@ def url_hash64(url: str) -> int:
 
 def hash64_many(urls) -> np.ndarray:
     """Vector of stable int64 hashes for a sequence of strings."""
-    out = np.empty(len(urls), dtype=np.uint64)
-    fb = int.from_bytes
-    for i, u in enumerate(urls):
-        out[i] = fb(blake2b(u.encode("utf-8"), digest_size=8).digest(), "little")
-    return out.view(np.int64)
+    import pyarrow as pa
+
+    return hash64_array(pa.array(list(urls), pa.string()))
+
+
+def hash64_array(arr) -> np.ndarray:
+    """``hash64_many`` over an Arrow string array without nulls: blake2
+    reads each value straight from the array's data buffer, with no
+    Python string per row."""
+    n = len(arr)
+    offsets = np.frombuffer(arr.buffers()[1], dtype=np.int32, count=n + 1,
+                            offset=arr.offset * 4).tolist()
+    data = memoryview(arr.buffers()[2] or b"")
+    digests = b"".join([blake2b(data[a:b], digest_size=8).digest()
+                        for a, b in zip(offsets, offsets[1:])])
+    return np.frombuffer(digests, dtype="<i8").astype(np.int64)
 
 
 _HOST_RE = re.compile(r"^[a-z][a-z0-9+.\-]*://([^/?#]+)")

@@ -9,6 +9,9 @@ equality).
 """
 
 import collections
+import os
+import threading
+import types
 
 import numpy as np
 import pyarrow as pa
@@ -260,10 +263,35 @@ class TestParallelPool:
         assert _records(out).num_rows == sum(b.num_rows for b in blocks)
 
 
-class TestOfferSeedsDataset:
-    """offer_seeds' Dataset path: a seed table above one offer batch is
-    canonicalized and routed in map tasks whose offers are
-    fire-and-forget, and the driver polls ``buffered_rows``."""
+    def test_block_just_over_batch_size_is_one_call(self, ray_session,
+                                                    corpus):
+        """Drain chunks round up to whole virtual rounds, so blocks come
+        a few rows over batch_size: such a block is one ``run.remote``
+        call, and a block of 2.6 batches is three near-equal ones."""
+        import ray
+
+        from hepcrawl_ray.frontier import ADMIT_SCHEMA
+
+        batch_size = 64
+        calls = []
+        spy = types.SimpleNamespace(run=types.SimpleNamespace(
+            remote=lambda ref, start, n: calls.append((start, n)) or ref))
+        blocks = [pa.table({f.name: pa.nulls(n, f.type)
+                            for f in ADMIT_SCHEMA}, schema=ADMIT_SCHEMA)
+                  for n in (batch_size + 5, 166)]
+        adm = cp.admissions_dataset([ray.put(b) for b in blocks],
+                                    [(b.num_rows, b.nbytes) for b in blocks])
+        records = cp.fetch_and_parse(adm, corpus[0], batch_size=batch_size,
+                                     pool=[spy])
+        assert calls == [(0, 69), (0, 55), (55, 55), (110, 56)]
+        assert records.count() == 69 + 166
+
+
+class TestOfferSeeds:
+    """offer_seeds: every seed row reaches the frontier through the
+    router actors, in ``offer_batch_size`` slices of a table or in the
+    row groups of a parquet seed path, and how the rows were cut does
+    not change the schedule."""
 
     @staticmethod
     def _schedule(seeds, politeness, salted, offer_batch_size):
@@ -286,21 +314,96 @@ class TestOfferSeedsDataset:
                            ("round", "host", "url", "seq", "partition"))))
         return n, metrics, order
 
+    @staticmethod
+    def _sim_order(seeds, politeness):
+        ref = simulate(seeds.to_pylist(), politeness.to_pylist())
+        return [(r, h, u, s) for (r, h, u, s, _p, _m) in ref.admissions]
+
     @pytest.mark.parametrize("salted", [None, SALTED])
-    def test_dataset_path_delivers_and_orders(self, ray_session, corpus,
-                                              salted):
+    def test_offers_deliver_and_order(self, ray_session, corpus, salted):
         """Every seed row is offered, and the schedule equals the
         simulator's (unsalted; it has no salting) or, partition by
-        partition, the driver-side offer path's (salted)."""
+        partition, a one-slice offer's (salted)."""
         _, _, seeds, politeness = corpus
-        assert seeds.num_rows > 64            # several 64-row batches
+        assert seeds.num_rows > 64            # several 64-row slices
         n, metrics, got = self._schedule(seeds, politeness, salted, 64)
         assert n == seeds.num_rows == sum(m["offered"] for m in metrics)
         if salted:
             want = self._schedule(seeds, politeness, salted,
                                   seeds.num_rows)[2]
         else:
-            ref = simulate(seeds.to_pylist(), politeness.to_pylist())
-            want = [(r, h, u, s) for (r, h, u, s, _p, _m) in ref.admissions]
+            want = self._sim_order(seeds, politeness)
             got = [row[:4] for row in got]
         assert got == want
+
+    @pytest.mark.parametrize("layout", ["file", "dir"])
+    def test_parquet_seed_path(self, ray_session, corpus, tmp_path, layout):
+        """A parquet seed file, or a directory of them, split into
+        several row groups: the routers read them and the schedule
+        equals the simulator's."""
+        import pyarrow.parquet as pq
+
+        _, _, seeds, politeness = corpus
+        if layout == "file":
+            path = str(tmp_path / "seeds.parquet")
+            pq.write_table(seeds, path, row_group_size=50)
+        else:
+            path = str(tmp_path / "seeds")
+            os.makedirs(path)
+            step = -(-seeds.num_rows // 3)
+            for i in range(3):
+                pq.write_table(seeds.slice(i * step, step),
+                               os.path.join(path, f"part-{i}.parquet"),
+                               row_group_size=40)
+        n, metrics, got = self._schedule(path, politeness, None, 64)
+        assert n == seeds.num_rows == sum(m["offered"] for m in metrics)
+        assert [row[:4] for row in got] == self._sim_order(seeds, politeness)
+
+    def test_seed_directory_without_parquet_files_is_rejected(
+            self, tmp_path):
+        (tmp_path / "part=0").mkdir()        # nested files are not read
+        with pytest.raises(ValueError, match="no parquet seed files"):
+            cp.offer_seeds([], str(tmp_path), 2)
+
+    def test_dead_partition_fails_the_offer(self, ray_session, corpus):
+        """A frontier partition killed before the offer: offer_seeds
+        raises a RayActorError within a deadline instead of hanging,
+        its routers go back idle without the dead handle, and the next
+        crawl runs on them and still equals the simulator."""
+        import ray
+
+        images, _, seeds, politeness = corpus
+        actors = cp.start_frontier(politeness.to_pylist(), 3)
+        ray.kill(actors[1])
+        caught = []
+
+        def offer():
+            try:
+                cp.offer_seeds(actors, seeds, 3, offer_batch_size=64)
+            except Exception as exc:      # noqa: BLE001 - inspected below
+                caught.append((type(exc), type(getattr(exc, "cause", None))))
+
+        th = threading.Thread(target=offer, daemon=True)
+        th.start()
+        th.join(timeout=60)
+        assert not th.is_alive(), "offer_seeds hung on a dead partition"
+        assert len(caught) == 1, "the offer ended without an error"
+        assert any(issubclass(t, ray.exceptions.RayActorError)
+                   for t in caught[0]), caught[0]
+        for a in actors:
+            ray.kill(a)
+
+        def idle_routers():
+            return {h for c, h in cp._WARM._idle if c is cp._DiscoverWorker}
+
+        routers = idle_routers()
+        assert len(routers) == cp.N_DISCOVER_WORKERS
+        out = cp.run_crawl(images, seeds, politeness, num_partitions=3,
+                           fetch_concurrency=2, parse_concurrency=2)
+        assert idle_routers() == routers
+        table = _records(out).sort_by([("round", "ascending"),
+                                       ("host", "ascending"),
+                                       ("pop_idx", "ascending")])
+        got = list(zip(*(table.column(c).to_pylist()
+                         for c in ("round", "host", "url", "seq"))))
+        assert got == self._sim_order(seeds, politeness)

@@ -105,3 +105,81 @@ class TestPartition:
     def test_salt_changes_partition_distribution(self):
         ps = {uk.partition_of_host("hot.org", 64, salt=s) for s in range(16)}
         assert len(ps) > 4
+
+
+# Canonical already, canonical after the Python pass, and neither.
+ADVERSARIAL_URLS = [
+    "http://h.org/a/b", "https://h.org/img/abc123", "ftp://h.org/x.zip",
+    "http://h.org/", "http://h.org/a/b/", "http://h-1.x.org/A_b-c.~d/",
+    "HTTP://Example.COM/a/b", "hTTps://EXAMPLE.com/x", "http://H.org/a",
+    "http://example.com:80/a", "https://example.com:443/a",
+    "http://example.com:8080/a", "http://example.com:/a",
+    "ftp://FTP.example.com:21/pub/x.zip", "ftp://x.y",
+    "http://user:pw@Example.com/a", "http://u@h.org:81/p",
+    "http://example.com/a?b=2&a=1", "http://example.com/a?x=&y=1#f",
+    "http://example.com/a#frag", "http://example.com/%7Euser/%41%2fb",
+    "http://example.com//a///b", "http://h.org/a//",
+    "  http://example.com/a ", "\thttp://h.org/a\n", "http://h.org/a\n",
+    "http://bücher.de/straße", "http://例え.jp/パス", "http://h.org/é",
+    "http://h.org/a b", "http://h.org/a;b", "http://example.com",
+    "", "not a url", "//h.org/x", "mailto:x@y.z",
+]
+
+
+def _scalar_offer(url):
+    """canonicalize_batch's columns for one URL, from the scalar kit."""
+    canon = uk.canonicalize_url(url)
+    tail = canon.split("://", 1)[-1]
+    return (canon, uk.url_hash64(canon), uk.host_of(canon),
+            tail[tail.find("/"):] if "/" in tail else "/")
+
+
+class TestVectorizedOffers:
+    def test_canonicalize_batch_equals_scalar(self):
+        import pyarrow as pa
+
+        from hepcrawl_ray.frontier import canonicalize_batch
+
+        urls = ADVERSARIAL_URLS
+        n = len(urls)
+        want = [_scalar_offer(u) for u in urls]
+        chunked = pa.chunked_array([urls[:5], urls[5:20], [], urls[20:]],
+                                   pa.string())
+        whole = pa.table({"url": urls, "seq": list(range(n))})
+        for table, first in ((whole, 0), (whole.slice(7), 7),
+                             (whole.set_column(0, "url", chunked), 0)):
+            got = canonicalize_batch(table)
+            assert list(zip(*(got.column(c).to_pylist() for c in
+                              ("url", "url_hash", "host", "path")))) \
+                == want[first:]
+            assert got.column("seq").to_pylist() == list(range(first, n))
+
+    def test_trailing_newline_is_not_canonical(self):
+        # Python's ``$`` also matches before a final newline
+        assert uk.canonicalize_many(["http://h.org/a\n"]) == ["http://h.org/a"]
+
+    @pytest.mark.parametrize("salted", [None, {"hot.org": 3, "b.org": 1,
+                                               "absent.org": 2}])
+    def test_route_partition_ids_equals_scalar(self, salted):
+        import pyarrow as pa
+
+        from hepcrawl_ray.frontier import route_partition_ids
+
+        rng = np.random.default_rng(5)
+        pool = ["hot.org", "a.org", "b.org", "c.net", ""]
+        hosts = [pool[i] for i in rng.integers(0, len(pool), 500)]
+        hashes = rng.integers(-2**63, 2**63 - 1, 500, dtype=np.int64)
+        num_partitions = 7
+
+        def scalar(h, x):
+            k = (salted or {}).get(h, 0)
+            key = f"{h}#{int(x) % k}" if k > 1 else h
+            return uk.partition_of_host(key, num_partitions)
+
+        want = [scalar(h, x) for h, x in zip(hosts, hashes)]
+        for form in (list, lambda v: pa.array(v, pa.string()),
+                     lambda v: pa.chunked_array([v[:200], v[200:]],
+                                                pa.string())):
+            got = route_partition_ids(form(hosts), hashes, num_partitions,
+                                      salted)
+            assert got.tolist() == want

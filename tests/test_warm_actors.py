@@ -129,6 +129,24 @@ class TestReuse:
                                  in ref.admissions]
         _reconcile(out["metrics"], seeds.num_rows, table.num_rows)
 
+    def test_new_routers_only_per_seed_slice(self, ray_session, corpus,
+                                             monkeypatch):
+        """A crawl over one seed slice starts one router, not
+        N_DISCOVER_WORKERS (each start delays a cold crawl's offer);
+        idle routers are all reused, up to N_DISCOVER_WORKERS."""
+        _, seeds, politeness = corpus
+        monkeypatch.setattr(cp, "_WARM", cp._WarmActors())
+        actors = cp.start_frontier(politeness.to_pylist(), 2)
+        one = cp.acquire_routers(actors, 2, seeds=seeds)
+        assert len(one) == 1
+        cp.release_frontier(actors, one)
+        actors = cp.start_frontier(politeness.to_pylist(), 2)
+        full = cp.acquire_routers(actors, 2)
+        assert len(full) == cp.N_DISCOVER_WORKERS and one[0] in full
+        cp.release_frontier(actors, full)
+        actors = cp.start_frontier(politeness.to_pylist(), 2)
+        assert set(cp.acquire_routers(actors, 2, seeds=seeds)) == set(full)
+
     def test_reset_partition_equals_new(self, corpus):
         """FrontierPartition.reset drops the seen set, queues, buffered
         offers and counters: a used partition reset with the same
@@ -619,8 +637,10 @@ class TestIdleList:
             def idle_classes():
                 return sorted(c.__name__ for c, _ in cp._WARM._idle)
 
-            # the two frontier partitions and the 1-actor fetch+parse pool
-            kept = ["FrontierPartition"] * 2 + ["_FetchParseWorker"]
+            # the two frontier partitions, the router of the one seed
+            # slice and the 1-actor fetch+parse pool
+            kept = ["FrontierPartition"] * 2 + ["_DiscoverWorker",
+                                                "_FetchParseWorker"]
             crawl()
             first = cp._WARM._session
             assert idle_classes() == kept
