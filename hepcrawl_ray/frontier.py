@@ -179,16 +179,30 @@ def offer_routed(actors, offers: pa.Table, num_partitions: int,
     """Send each frontier actor its slice of a canonical OFFER_SCHEMA
     table (split by :func:`route_partition_ids`) and wait until every
     slice is delivered; returns the rows delivered.  A dead frontier
-    actor raises ``RayActorError`` here.  Duplicate delivery on a retry
-    is safe: admission dedups."""
-    import ray
-
+    actor raises ``RayActorError`` here, once every other slice has
+    arrived or failed.  Duplicate delivery on a retry is safe:
+    admission dedups."""
     parts = route_partition_ids(offers.column("host"),
                                 offers.column("url_hash").to_numpy(),
                                 num_partitions, salted_hosts)
-    ray.get([actors[int(p)].offer.remote(offers.filter(pa.array(parts == p)))
-             for p in np.unique(parts)])
+    get_settled([actors[int(p)].offer.remote(
+        offers.filter(pa.array(parts == p))) for p in np.unique(parts)])
     return offers.num_rows
+
+
+def get_settled(refs: list):
+    """``ray.get(refs)``, except that on an error it first waits until
+    every call behind ``refs`` has ended.  ``ray.get`` raises at the
+    first failed ref, and a call still running then (an offer on its
+    way to a partition) could land after the caller has handed the
+    actors to the next crawl."""
+    import ray
+
+    try:
+        return ray.get(refs)
+    except ray.exceptions.RayError:
+        ray.wait(refs, num_returns=len(refs), fetch_local=False)
+        raise
 
 
 def parse_robots_rules(text: str, user_agent: str = "*") \

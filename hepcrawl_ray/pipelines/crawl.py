@@ -7,7 +7,9 @@ and push one merged offer per partition to the host-partitioned
 frontier actors (worker -> actor data flow; the driver only
 orchestrates), the actors seal + drain the full admission schedule in
 parallel virtual time, and ONE pool of fused fetch+parse actors turns
-each admissions block into a records block.
+each admissions block into a records block.  An iterative crawl's
+blocks go by reference from partition to routers, with one driver
+wait per iteration (:func:`run_iterative_crawl`).
 
 Scale notes (design for 256 nodes / 100 TB, tested single-node):
 
@@ -39,7 +41,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from hepcrawl_ray.frontier import ADMIT_SCHEMA, FrontierPartition
+from hepcrawl_ray.frontier import ADMIT_SCHEMA, FrontierPartition, get_settled
 from hepcrawl_ray.stages import (DiscoverRouteStage, FetchParseStage,
                                  _corpus_files)
 
@@ -191,7 +193,10 @@ def start_frontier(politeness_rows, num_partitions=4, salted_hosts=None,
     previous crawl released (:func:`release_frontier`), each reset to a
     fresh partition.  ``spill_dir`` + ``spill_threshold_rows`` cap each
     partition's hot queue heads and spill cold tails to parquet
-    (frontier cold-tail spill; schedules stay bit-identical)."""
+    (frontier cold-tail spill; schedules stay bit-identical).
+    ``politeness_rows``: a politeness table or its rows as dicts."""
+    if isinstance(politeness_rows, pa.Table):
+        politeness_rows = politeness_rows.to_pylist()
     kw = dict(capacity=capacity_per_partition, tick_ms=tick_ms,
               salted_hosts=salted_hosts, spill_dir=spill_dir,
               spill_threshold_rows=spill_threshold_rows)
@@ -258,31 +263,22 @@ def offer_seeds(actors, seeds, num_partitions, offer_batch_size=65536,
     directory or file list) into the frontier actors through the
     routers ``workers`` (:func:`acquire_routers` on the same frontier;
     without them, routers are acquired and released here), one
-    :func:`_seed_pieces` piece per call.  Returns the rows offered, all
-    delivered (:func:`_route`); a dead partition raises RayActorError."""
+    :func:`_seed_pieces` piece per call, then one merged offer per
+    partition from each router (lesson 28).  Returns the rows offered,
+    all delivered; a dead partition raises RayActorError."""
     pieces = _seed_pieces(seeds, offer_batch_size)
     own = workers is None
     if own:
         workers = acquire_routers(actors, num_partitions, salted_hosts)
     try:
-        return _route(workers, "offer", pieces)
+        calls = [workers[i % len(workers)].offer.remote(p)
+                 for i, p in enumerate(pieces)]
+        flushes = [w.flush.remote() for w in workers]
+        return sum(get_settled(calls + flushes)[:len(calls)])
     finally:
         if own:
             _WARM.release([(_DiscoverWorker, workers)],
                           keep_other_kinds=True)
-
-
-def _route(workers, method, pieces):
-    """Hand ``pieces`` to the routers in turn (``method`` "offer": seed
-    rows; "process": admissions to discover links in), then have every
-    router send one merged offer per partition (lesson 28) and wait
-    for its delivery.  Returns the rows handed out."""
-    import ray
-
-    calls = [getattr(workers[i % len(workers)], method).remote(p)
-             for i, p in enumerate(pieces)]
-    flushes = [w.flush.remote() for w in workers]
-    return sum(ray.get(calls + flushes)[:len(calls)])
 
 
 def drain_admissions_chunked(actors, target_rows=1 << 18, seal=False):
@@ -456,9 +452,7 @@ def run_crawl(images, seeds, politeness, *, num_partitions=4,
     returns before the records are computed."""
     import ray
 
-    pol_rows = politeness.to_pylist() if isinstance(politeness, pa.Table) \
-        else list(politeness)
-    actors = start_frontier(pol_rows, num_partitions, salted_hosts,
+    actors = start_frontier(politeness, num_partitions, salted_hosts,
                             capacity_per_partition=frontier_capacity,
                             spill_dir=spill_dir,
                             spill_threshold_rows=spill_threshold_rows)
@@ -507,19 +501,22 @@ class _DiscoverWorker(_Reusable):
             seeds = pq.ParquetFile(seeds[0]).read_row_group(seeds[1])
         return self.stage.offer(seeds)
 
-    def process(self, table: pa.Table) -> int:
-        self.stage(table)          # delivered at flush()
-        return table.num_rows
+    def process(self, block: pa.Table, i: int, k: int) -> int:
+        """Find links in piece ``i`` of ``k`` of a drained block."""
+        s, e = block.num_rows * i // k, block.num_rows * (i + 1) // k
+        if e > s:                  # delivered at flush()
+            self.stage(block.slice(s, e - s))
+        return e - s
 
-    def flush(self) -> int:
-        return self.stage.flush()  # returns once delivered
+    def flush(self, *after) -> int:
+        # runs once the refs ``after`` are ready; returns once delivered
+        return self.stage.flush()
 
 
-def _iter_checkpoint(actors, checkpoint_dir, gen, segments,
-                     pending_tables):
+def _iter_checkpoint(actors, checkpoint_dir, gen, segments, tables):
     """Atomic iterative-crawl checkpoint, commit-on-meta: frontier
     partitions snapshot into a FRESH ``gen=<n>`` directory, the
-    admissions emitted since the LAST checkpoint land as one parquet
+    ``tables`` drained since the LAST checkpoint land as one parquet
     segment, and the ``_iter_meta.json`` replace commits the set LAST.
     A crash anywhere leaves the previously committed (meta, gen,
     segments) triple in effect; torn newer gens and orphan segments
@@ -531,21 +528,17 @@ def _iter_checkpoint(actors, checkpoint_dir, gen, segments,
 
     gen_dir = os.path.join(checkpoint_dir, f"gen={gen}")
     ray.get([a.checkpoint.remote(gen_dir) for a in actors])
-    segments = list(segments)
-    body = pa.concat_tables(pending_tables) if pending_tables else None
-    if body is not None and body.num_rows:
-        seg_dir = os.path.join(checkpoint_dir, "admissions")
-        os.makedirs(seg_dir, exist_ok=True)
-        name = f"seg_{len(segments):05d}.parquet"
-        tmp = os.path.join(seg_dir, "." + name + ".tmp")
-        pq.write_table(body, tmp)
-        os.replace(tmp, os.path.join(seg_dir, name))
-        segments.append(name)
-    meta = {"gen": gen, "segments": segments,
-            "num_partitions": len(actors)}
+    # a checkpoint follows a non-empty iteration: never an empty segment
+    seg_dir = os.path.join(checkpoint_dir, "admissions")
+    os.makedirs(seg_dir, exist_ok=True)
+    segments = segments + [f"seg_{len(segments):05d}.parquet"]
+    tmp = os.path.join(seg_dir, "." + segments[-1] + ".tmp")
+    pq.write_table(pa.concat_tables(tables), tmp)
+    os.replace(tmp, os.path.join(seg_dir, segments[-1]))
     tmp = os.path.join(checkpoint_dir, "._iter_meta.json.tmp")
     with open(tmp, "w") as f:
-        json.dump(meta, f)
+        json.dump({"gen": gen, "segments": segments,
+                   "num_partitions": len(actors)}, f)
     os.replace(tmp, os.path.join(checkpoint_dir, "_iter_meta.json"))
     # GC everything the committed meta does not reference (old gens
     # AND stale crash-artifact gens); best-effort
@@ -589,14 +582,17 @@ def run_iterative_crawl(seeds, politeness, discover_fn, *,
     tests/test_sources_iterative.py.
 
     The crawl's routers (:func:`acquire_routers`) offer the seeds,
-    then each iteration's admissions: they extract links and push them
-    to the frontier partitions directly, and the driver runs only the
-    per-round seal barrier, never a per-row loop.  Admission is decided
-    over a seq-sorted view at seal, so arrival order cannot change the
+    then each iteration's links: every partition's drained block goes
+    by reference to the routers (in pieces when they outnumber the
+    partitions), which push the links to the partitions directly.
+    The driver waits once per iteration, for those deliveries and the
+    previous seals, then queues the next seals; admission tables reach
+    it only at a checkpoint and at the end.  Admission is decided over
+    a seq-sorted view at seal, so arrival order cannot change the
     schedule; the spec is ``sim.simulate_iterative`` (pinned in tests).
 
     ``checkpoint_dir`` + ``checkpoint_every=k``: every k iterations,
-    after the seal barrier (a quiescent point: all of the round's
+    after that iteration's seal (a quiescent point: all of the round's
     offers are delivered and sealed, no in-flight state anywhere), the
     frontier partitions snapshot themselves and the admissions emitted
     since the last checkpoint are committed as a parquet segment
@@ -610,8 +606,6 @@ def run_iterative_crawl(seeds, politeness, discover_fn, *,
     """
     import ray
 
-    pol_rows = politeness.to_pylist() if isinstance(politeness, pa.Table) \
-        else list(politeness)
     if resume:
         if not checkpoint_dir:
             raise ValueError("resume=True requires checkpoint_dir")
@@ -626,40 +620,45 @@ def run_iterative_crawl(seeds, politeness, discover_fn, *,
         # gens are monotone: new ones never touch the committed one
         segments, gen = list(meta["segments"]), int(meta["gen"])
     else:
-        actors = start_frontier(pol_rows, num_partitions, salted_hosts)
+        actors = start_frontier(politeness, num_partitions, salted_hosts)
         admissions, segments, gen = [], [], 0
-    # PERSISTENT routers, reused every iteration (a map_batches pool
-    # per iteration pays ~2 s spin-up each time, lesson 15)
+    # persistent routers, reused every iteration (lesson 26)
     workers = acquire_routers(actors, num_partitions, salted_hosts,
                               discover_fn=discover_fn,
                               discover_batch_fn=discover_batch_fn)
-    if not resume:
-        offer_seeds(actors, seeds, num_partitions, workers=workers)
-        ray.get([a.seal.remote() for a in actors])
-    pending_ckpt: list[pa.Table] = []
-
-    for it in range(max_iters):
-        tables = ray.get([a.drain.remote(rounds_per_iter) for a in actors])
-        t = pa.concat_tables(tables)
-        if t.num_rows == 0:
-            if sum(ray.get([a.pending.remote() for a in actors])) == 0:
-                break
-            continue
-        admissions.append(t)
-        pending_ckpt.append(t)
-        _route(workers, "process", [tb.slice(s, 4096) for tb in tables
-                                    for s in range(0, tb.num_rows, 4096)])
-        ray.get([a.seal.remote() for a in actors])  # no-op if empty
-        # quiescent point: round's offers delivered AND sealed
-        if checkpoint_dir and checkpoint_every \
-                and (it + 1) % checkpoint_every == 0:
-            gen += 1
-            segments = _iter_checkpoint(actors, checkpoint_dir, gen,
-                                        segments, pending_ckpt)
-            pending_ckpt = []
-    result = pa.concat_tables(admissions) if admissions else None
-    metrics = ray.get([a.get_metrics.remote() for a in actors])
-    seen = np.concatenate(ray.get([a.seen_hashes.remote() for a in actors]))
-    release_frontier(actors, workers)
+    # k pieces per drained block keep every router busy when P < routers
+    k, blocks, seals = -(-len(workers) // num_partitions), [], []
+    try:
+        if not resume:
+            offer_seeds(actors, seeds, num_partitions, workers=workers)
+            seals = [a.seal.remote() for a in actors]
+        for it in range(max_iters):
+            drains = [a.drain.remote(rounds_per_iter) for a in actors]
+            calls = [workers[j % len(workers)].process.remote(
+                drains[j // k], j % k, k) for j in range(len(drains) * k)]
+            # no link reaches a partition before its previous seal
+            flushes = [w.flush.remote(*seals) for w in workers]
+            # the one barrier: links delivered, previous seals done; on
+            # an error no router call is left running at the release
+            if sum(get_settled(calls + flushes + seals)[:len(calls)]) == 0:
+                if sum(ray.get([a.pending.remote() for a in actors])) == 0:
+                    break
+                continue
+            blocks += drains
+            # runs before the next drain or checkpoint (one caller)
+            seals = [a.seal.remote() for a in actors]
+            if checkpoint_dir and checkpoint_every \
+                    and (it + 1) % checkpoint_every == 0:
+                tables = ray.get(seals + blocks)[len(seals):]
+                gen += 1
+                segments = _iter_checkpoint(actors, checkpoint_dir, gen,
+                                            segments, tables)
+                admissions, blocks = admissions + tables, []
+        admissions += ray.get(seals + blocks)[len(seals):]
+        result = pa.concat_tables(admissions) if admissions else None
+        metrics = ray.get([a.get_metrics.remote() for a in actors])
+        seen = ray.get([a.seen_hashes.remote() for a in actors])
+    finally:
+        release_frontier(actors, workers)
     return {"admissions": result, "metrics": metrics,
-            "seen": set(seen.tolist())}
+            "seen": set(np.concatenate(seen).tolist())}

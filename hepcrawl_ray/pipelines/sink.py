@@ -65,8 +65,6 @@ def run_resumable_crawl(images, seeds, politeness, *, output_dir: str,
     from hepcrawl_ray.pipelines import crawl as cp
 
     os.makedirs(output_dir, exist_ok=True)
-    pol_rows = politeness.to_pylist() if isinstance(politeness, pa.Table) \
-        else list(politeness)
 
     ckpt_marker = os.path.join(checkpoint_dir, "part=0", "state.pkl")
     resume = os.path.exists(ckpt_marker)
@@ -74,7 +72,7 @@ def run_resumable_crawl(images, seeds, politeness, *, output_dir: str,
         actors = cp.restore_frontier(checkpoint_dir, num_partitions)
         routers = []
     else:
-        actors = cp.start_frontier(pol_rows, num_partitions, salted_hosts)
+        actors = cp.start_frontier(politeness, num_partitions, salted_hosts)
         routers = cp.acquire_routers(actors, num_partitions, salted_hosts,
                                      seeds)
     # one fetch+parse pool for every partition, acquired after the

@@ -204,19 +204,12 @@ def _records(out):
 
 class TestParallelPool:
     def test_pool_width_keeps_row_order(self, ray_session, corpus,
-                                        wide_seeds, monkeypatch):
+                                        wide_seeds):
         """A salted host's sub-queues tie on (round, host, pop_idx), so
         only the stream's own order makes the output deterministic: a
         1-actor and a 3-actor pool yield the same rows in the same
         order, unsorted."""
-        import ray.data
-
         images, _, _, politeness = corpus
-        # start every actor before the first task, so the 3-wide pool
-        # really runs blocks side by side instead of the first ready
-        # actor taking them all
-        monkeypatch.setattr(ray.data.DataContext.get_current(),
-                            "wait_for_min_actors_s", 120)
 
         def run(width):
             return _records(cp.run_crawl(

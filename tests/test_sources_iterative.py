@@ -429,3 +429,240 @@ class TestIterativeCrawl:
         urls = out["admissions"].column("url").to_pylist()
         assert urls.count(f"http://{host}/x/shared") == 1
         assert len(urls) == len(ref.admissions) == 3
+
+
+# ---------------------------------------------------------------------------
+# the iterative loop's shape: driver waits, router fan-out, a dead partition
+# ---------------------------------------------------------------------------
+
+_HOSTS = [f"host{h}.example.org" for h in range(8)]
+_ORDER = [("round", "ascending"), ("host", "ascending"),
+          ("pop_idx", "ascending")]
+
+
+def _multihost_tree(n: int):
+    """Seeds, politeness and a per-row discover over a binary tree of
+    ``n`` nodes: node i lives on _HOSTS[i % 8], so every partition
+    drains rows.  A node has one parent, so its index makes its link's
+    seq unique."""
+    hosts = _HOSTS
+
+    def discover(url: str, seq: int):
+        i = int(url.rsplit("/img", 1)[-1])
+        return [{"url": f"http://{hosts[c % len(hosts)]}/linked/img{c:07d}",
+                 "priority": 0.0, "seq": _CHILD_BASE + c, "mtime": 1000,
+                 "set_id": "linked"}
+                for c in (2 * i + 1, 2 * i + 2) if c < n]
+
+    k = len(hosts)
+    seeds = pa.table({
+        "url": [f"http://{hosts[i]}/seed/img{i:07d}" for i in range(k)],
+        "host": hosts, "set_id": ["seed"] * k, "priority": [0.0] * k,
+        "seq": list(range(k)), "mtime": [1000] * k, "dup_of": [None] * k,
+    }, schema=synth.SEEDS_SCHEMA)
+    politeness = pa.table({
+        "host": hosts, "max_concurrency": [4] * k, "min_delay_ms": [0] * k,
+        "robots_disallow": [[]] * k,
+    }, schema=synth.POLITENESS_SCHEMA)
+    return seeds, politeness, discover
+
+
+def _batch_of(discover, on_call=None):
+    """The vectorized discover_batch_fn of a per-row ``discover``;
+    ``on_call(urls, seqs)`` runs first on every call."""
+    def discover_batch(urls, seqs):
+        if on_call is not None:
+            on_call(urls, seqs)
+        rows, counts = [], []
+        for url, seq in zip(urls.to_pylist(), seqs.to_pylist()):
+            found = discover(url, seq)
+            counts.append(len(found))
+            rows.extend(found)
+        return pa.table({
+            "url": pa.array([r["url"] for r in rows], pa.string()),
+            "priority": pa.array([r["priority"] for r in rows],
+                                 pa.float64()),
+            "seq": pa.array([r["seq"] for r in rows], pa.int64()),
+            "mtime": pa.array([r["mtime"] for r in rows], pa.int64()),
+            "set_id": pa.array([r["set_id"] for r in rows], pa.string()),
+        }), counts
+
+    return discover_batch
+
+
+def _schedule(table):
+    t = table.sort_by(_ORDER)
+    return list(zip(*(t.column(c).to_pylist()
+                      for c in ("round", "host", "url", "seq"))))
+
+
+def _sim_schedule(seeds, politeness, discover):
+    from hepcrawl_ray.sim import simulate_iterative
+
+    ref = simulate_iterative(seeds.to_pylist(), politeness.to_pylist(),
+                             discover)
+    return [(r, h, u, s) for (r, h, u, s, _p, _m) in ref.admissions], \
+        ref.seen_hashes
+
+
+def _idle_routers():
+    from hepcrawl_ray.pipelines import crawl as cp
+
+    return {h for c, h in cp._WARM._idle if c is cp._DiscoverWorker}
+
+
+class TestIterativeLoop:
+    @pytest.mark.parametrize("num_partitions", [2, 6])
+    def test_router_fanout_matches_sim(self, ray_session, tmp_path,
+                                       num_partitions):
+        """Fewer partitions than routers (2) or more (6): schedule and
+        seen set equal the simulator's, no empty batch reaches the
+        discover callback, and at 2 partitions every router discovers
+        links (each drained block is cut into pieces)."""
+        from hepcrawl_ray.pipelines import crawl as cp
+
+        log = tmp_path / "calls"
+
+        def record(urls, seqs):
+            import ray
+
+            assert len(urls) > 0, "an empty batch reached discovery"
+            with open(log, "a") as f:
+                f.write(ray.get_runtime_context().get_actor_id() + "\n")
+
+        seeds, politeness, discover = _multihost_tree(400)
+        out = cp.run_iterative_crawl(
+            seeds, politeness, discover, num_partitions=num_partitions,
+            discover_batch_fn=_batch_of(discover, record))
+        want, seen = _sim_schedule(seeds, politeness, discover)
+        assert _schedule(out["admissions"]) == want
+        assert out["seen"] == seen
+        if num_partitions == 2:
+            routers = {h._actor_id.hex() for h in _idle_routers()}
+            assert len(routers) == cp.N_DISCOVER_WORKERS
+            assert set(log.read_text().split()) == routers
+
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    def test_one_driver_wait_per_iteration(self, ray_session, tmp_path,
+                                           monkeypatch, checkpoint):
+        """Each non-empty iteration makes exactly one ray.get: a crawl
+        with more iterations makes that many more calls.  Admission
+        tables reach the driver only at each checkpoint, for its
+        segment, and in one call at the end."""
+        import sys
+
+        import ray
+        from hepcrawl_ray.pipelines import crawl as cp
+
+        real_get = ray.get
+        calls = []
+
+        def spy(refs, *args, **kwargs):
+            out = real_get(refs, *args, **kwargs)
+            # the crawl's own calls, also through frontier.get_settled
+            caller = sys._getframe(1).f_globals.get("__name__", "")
+            if caller.startswith("hepcrawl_ray."):
+                vals = out if isinstance(out, list) else [out]
+                calls.append(any(isinstance(v, pa.Table) for v in vals))
+            return out
+
+        def crawl(n, tag):
+            seeds, politeness, discover = _multihost_tree(n)
+            ckpt = str(tmp_path / tag) if checkpoint else None
+            calls.clear()
+            out = cp.run_iterative_crawl(
+                seeds, politeness, discover, num_partitions=4,
+                discover_batch_fn=_batch_of(discover),
+                checkpoint_dir=ckpt, checkpoint_every=2 if ckpt else 0)
+            assert _schedule(out["admissions"]) \
+                == _sim_schedule(seeds, politeness, discover)[0]
+            rounds = out["admissions"].column("round").to_pylist()
+            # no delays: rounds are contiguous, one iteration each
+            assert sorted(set(rounds)) == list(range(max(rounds) + 1))
+            segments = 0
+            if ckpt:
+                with open(tmp_path / tag / "_iter_meta.json") as f:
+                    segments = len(json.load(f)["segments"])
+                assert segments == (max(rounds) + 1) // 2
+            iters = max(rounds) + 1
+            # the end fetches what the last checkpoint did not
+            assert sum(calls) == segments + (iters > 2 * segments), calls
+            # a checkpoint fetches its segment and waits for snapshots
+            return len(calls) - 2 * segments, iters
+
+        monkeypatch.setattr(ray, "get", spy)
+        crawl(60, "warm")          # every later crawl reuses its actors
+        small_calls, small_iters = crawl(60, "small")
+        big_calls, big_iters = crawl(1000, "big")
+        assert big_iters > small_iters + 2
+        assert big_calls - small_calls == big_iters - small_iters
+
+    def test_dead_partition_fails_fast(self, ray_session, tmp_path,
+                                       monkeypatch):
+        """A frontier partition killed after the first iteration: the
+        crawl raises a RayActorError within a deadline instead of
+        hanging, its actors go back idle, and the next crawl runs on
+        the same routers and still equals the simulator.  The router
+        that kills stays busy while the others fail, so its offers to
+        the live partitions go out late: the crawl must not hand the
+        actors on before they have landed."""
+        import threading
+
+        import ray
+        from hepcrawl_ray.pipelines import crawl as cp
+
+        seeds, politeness, discover = _multihost_tree(400)
+        partitions = []
+        real_start = cp.start_frontier
+        marker = str(tmp_path / "killed")
+
+        def start(*args, **kwargs):
+            partitions[:] = real_start(*args, **kwargs)
+            return partitions
+
+        def kill_on_links(urls, seqs):
+            import os
+            import time
+
+            import ray
+
+            # links are admitted from the second iteration on
+            if max(seqs.to_pylist()) < _CHILD_BASE:
+                return
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                time.sleep(0.5)       # the others deliver after the kill
+                return
+            ray.kill(partitions[1])
+            time.sleep(3)
+
+        monkeypatch.setattr(cp, "start_frontier", start)
+        caught = []
+
+        def run():
+            try:
+                cp.run_iterative_crawl(
+                    seeds, politeness, discover, num_partitions=3,
+                    discover_batch_fn=_batch_of(discover, kill_on_links))
+            except Exception as exc:      # noqa: BLE001 - inspected below
+                caught.append((type(exc), type(getattr(exc, "cause", None))))
+
+        th = threading.Thread(target=run, daemon=True)
+        th.start()
+        th.join(timeout=60)
+        assert not th.is_alive(), "the crawl hung on a dead partition"
+        assert len(caught) == 1, "the crawl ended without an error"
+        assert any(issubclass(t, ray.exceptions.RayActorError)
+                   for t in caught[0]), caught[0]
+        monkeypatch.setattr(cp, "start_frontier", real_start)
+
+        routers = _idle_routers()
+        assert len(routers) == cp.N_DISCOVER_WORKERS
+        out = cp.run_iterative_crawl(seeds, politeness, discover,
+                                     num_partitions=3,
+                                     discover_batch_fn=_batch_of(discover))
+        assert _idle_routers() == routers
+        want, seen = _sim_schedule(seeds, politeness, discover)
+        assert _schedule(out["admissions"]) == want
+        assert out["seen"] == seen
