@@ -174,35 +174,20 @@ def route_partition_ids(hosts, url_hashes, num_partitions: int,
     return parts
 
 
-def offer_routed(actors, offers: pa.Table, num_partitions: int,
-                 salted_hosts: dict[str, int] | None = None) -> int:
-    """Send each frontier actor its slice of a canonical OFFER_SCHEMA
-    table (split by :func:`route_partition_ids`) and wait until every
-    slice is delivered; returns the rows delivered.  A dead frontier
-    actor raises ``RayActorError`` here, once every other slice has
-    arrived or failed.  Duplicate delivery on a retry is safe:
-    admission dedups."""
+def split_routed(offers: pa.Table, num_partitions: int,
+                 salted_hosts: dict[str, int] | None = None) -> list:
+    """Cut a canonical OFFER_SCHEMA table into one slice per frontier
+    partition (:func:`route_partition_ids`), rows in table order, and
+    ``None`` for a partition that gets no row.  Each slice is a
+    one-chunk table of its own, so it serializes without the others'
+    rows."""
     parts = route_partition_ids(offers.column("host"),
                                 offers.column("url_hash").to_numpy(),
                                 num_partitions, salted_hosts)
-    get_settled([actors[int(p)].offer.remote(
-        offers.filter(pa.array(parts == p))) for p in np.unique(parts)])
-    return offers.num_rows
-
-
-def get_settled(refs: list):
-    """``ray.get(refs)``, except that on an error it first waits until
-    every call behind ``refs`` has ended.  ``ray.get`` raises at the
-    first failed ref, and a call still running then (an offer on its
-    way to a partition) could land after the caller has handed the
-    actors to the next crawl."""
-    import ray
-
-    try:
-        return ray.get(refs)
-    except ray.exceptions.RayError:
-        ray.wait(refs, num_returns=len(refs), fetch_local=False)
-        raise
+    order = np.argsort(parts, kind="stable")
+    bounds = np.searchsorted(parts[order], np.arange(num_partitions + 1))
+    return [offers.take(order[s:e]).combine_chunks() if e > s else None
+            for s, e in zip(bounds, bounds[1:])]
 
 
 def parse_robots_rules(text: str, user_agent: str = "*") \
@@ -391,11 +376,13 @@ class FrontierPartition:
 
     # -- offer / seal --------------------------------------------------------
 
-    def offer(self, table: pa.Table) -> int:
-        """Buffer candidate rows (OFFER_SCHEMA).  Order-independent."""
-        if table.num_rows:
-            self._buffer.append(table)
-        return table.num_rows
+    def offer(self, *tables: pa.Table | None) -> int:
+        """Buffer candidate rows (OFFER_SCHEMA tables, such as a crawl's
+        routed slices for this partition; ``None`` and empty ones are
+        skipped) until :meth:`seal`.  Order-independent."""
+        tables = [t for t in tables if t is not None and t.num_rows]
+        self._buffer += tables
+        return sum(t.num_rows for t in tables)
 
     def seal(self) -> dict:
         """Apply robots + crawl-once rules to the buffered offers (in
@@ -687,7 +674,8 @@ class FrontierPartition:
             "pop_idx": np.concatenate(pops_out),
             "partition": np.full(n, self.part_id, dtype=np.int32),
         }, schema=ADMIT_SCHEMA)
-        return out
+        # one chunk per column (not one per queue): ray.put pays per chunk
+        return out.combine_chunks()
 
     def admit_rate(self) -> float:
         """Closed-form admissions-per-virtual-round over active queues
@@ -716,13 +704,14 @@ class FrontierPartition:
             return self.drain(0)
         return self.drain(max(1, math.ceil(target_rows / rate)))
 
-    def drain_block(self, target_rows: int | None = None) -> tuple:
-        """``drain_chunk(target_rows)``, or the full ``drain()`` without
-        a target, plus ``(num_rows, size_bytes, pending)``.  Called with
-        ``num_returns=2``, so the driver reads the small tuple and builds
-        a Dataset over the block without fetching it or running a task
-        to read its metadata."""
-        t = self.drain() if target_rows is None \
+    def drain_block(self, target_rows: int | None = None,
+                    max_rounds: int | None = None) -> tuple:
+        """``drain_chunk(target_rows)``, or without a target
+        ``drain(max_rounds)``, plus ``(num_rows, size_bytes, pending)``.
+        Called with ``num_returns=2``, so the driver reads the small
+        tuple (and knows whether anything is left to drain) without
+        fetching the block or running a task to read its metadata."""
+        t = self.drain(max_rounds) if target_rows is None \
             else self.drain_chunk(target_rows)
         return t, (t.num_rows, t.nbytes, self.pending())
 

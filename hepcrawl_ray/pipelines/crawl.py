@@ -3,13 +3,14 @@
 Ray-Data restructuring of the reference's spider lifecycle (traced in
 SURVEY.md §3): the driver hands seed rows (or parquet row groups) to
 router actors, which compute crawl identity (``canonicalize_batch``)
-and push one merged offer per partition to the host-partitioned
-frontier actors (worker -> actor data flow; the driver only
-orchestrates), the actors seal + drain the full admission schedule in
-parallel virtual time, and ONE pool of fused fetch+parse actors turns
-each admissions block into a records block.  An iterative crawl's
-blocks go by reference from partition to routers, with one driver
-wait per iteration (:func:`run_iterative_crawl`).
+and return one slice per host-partitioned frontier actor; each actor
+takes its slices as the arguments of one offer call (Exoshuffle's
+map/reduce shape: only the driver calls a partition), the actors
+seal + drain the full admission schedule in parallel virtual time,
+and ONE pool of fused fetch+parse actors turns each admissions block
+into a records block.  An iterative crawl's blocks go by reference
+to the routers, and the driver waits only on each drain's metadata
+(:func:`run_iterative_crawl`).
 
 Scale notes (design for 256 nodes / 100 TB, tested single-node):
 
@@ -41,7 +42,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from hepcrawl_ray.frontier import ADMIT_SCHEMA, FrontierPartition, get_settled
+from hepcrawl_ray.frontier import ADMIT_SCHEMA, FrontierPartition
 from hepcrawl_ray.stages import (DiscoverRouteStage, FetchParseStage,
                                  _corpus_files)
 
@@ -228,16 +229,15 @@ def release_frontier(actors, discover_workers=(), pool=()):
                    (_FetchParseWorker, pool)])
 
 
-def acquire_routers(actors, num_partitions, salted_hosts=None, seeds=None,
+def acquire_routers(num_partitions, salted_hosts=None, seeds=None,
                     discover_fn=None, discover_batch_fn=None):
-    """The router actors (``_DiscoverWorker``) of a crawl on the
-    frontier ``actors``, which carry its seeds and an iterative crawl's
-    links into the partitions: the idle ones, up to
-    ``N_DISCOVER_WORKERS``, and new ones up to that many or to one per
-    piece of ``seeds``, since in a one-crawl session every actor start
-    delays the offer.  Release them with the frontier."""
-    args = (discover_fn, actors, num_partitions, salted_hosts,
-            discover_batch_fn)
+    """The router actors (``_DiscoverWorker``) of a crawl over
+    ``num_partitions`` frontier partitions, which canonicalize and
+    route its seeds and an iterative crawl's links: the idle ones, up
+    to ``N_DISCOVER_WORKERS``, and new ones up to that many or to one
+    per piece of ``seeds``, since in a one-crawl session every actor
+    start delays the offer.  Release them with the frontier."""
+    args = (discover_fn, num_partitions, salted_hosts, discover_batch_fn)
     need = None if seeds is None else len(_seed_pieces(seeds))
     return _WARM.acquire(_DiscoverWorker, [(args, {})] * N_DISCOVER_WORKERS,
                          at_least=need)
@@ -257,24 +257,37 @@ def _seed_pieces(seeds, offer_batch_size=65536):
             for rg in range(pq.read_metadata(path).num_row_groups)]
 
 
+def _route_and_offer(actors, calls):
+    """Make each ``(router method, args)`` call with one return per
+    partition (one slice or ``None``; Ray returns a single one as a
+    bare ref), then queue one offer per partition that takes its
+    slices as arguments; returns the offer refs."""
+    p = len(actors)
+    routed = [m.options(num_returns=p).remote(*args) for m, args in calls]
+    routed = [r if p > 1 else [r] for r in routed]
+    return [a.offer.remote(*(r[i] for r in routed))
+            for i, a in enumerate(actors)]
+
+
 def offer_seeds(actors, seeds, num_partitions, offer_batch_size=65536,
                 salted_hosts=None, workers=None):
     """Canonicalize + route ``seeds`` (a table or a parquet file,
     directory or file list) into the frontier actors through the
-    routers ``workers`` (:func:`acquire_routers` on the same frontier;
-    without them, routers are acquired and released here), one
-    :func:`_seed_pieces` piece per call, then one merged offer per
-    partition from each router (lesson 28).  Returns the rows offered,
-    all delivered; a dead partition raises RayActorError."""
+    routers ``workers`` (:func:`acquire_routers`; without them, routers
+    are acquired and released here), one :func:`_seed_pieces` piece
+    per call, then one offer per partition (lesson 28).  Returns the
+    rows offered, all delivered; a dead partition raises
+    RayActorError."""
+    import ray
+
     pieces = _seed_pieces(seeds, offer_batch_size)
     own = workers is None
     if own:
-        workers = acquire_routers(actors, num_partitions, salted_hosts)
+        workers = acquire_routers(num_partitions, salted_hosts)
     try:
-        calls = [workers[i % len(workers)].offer.remote(p)
-                 for i, p in enumerate(pieces)]
-        flushes = [w.flush.remote() for w in workers]
-        return sum(get_settled(calls + flushes)[:len(calls)])
+        return sum(ray.get(_route_and_offer(
+            actors, [(workers[i % len(workers)].offer, (p,))
+                     for i, p in enumerate(pieces)])))
     finally:
         if own:
             _WARM.release([(_DiscoverWorker, workers)],
@@ -456,22 +469,25 @@ def run_crawl(images, seeds, politeness, *, num_partitions=4,
                             capacity_per_partition=frontier_capacity,
                             spill_dir=spill_dir,
                             spill_threshold_rows=spill_threshold_rows)
-    routers = acquire_routers(actors, num_partitions, salted_hosts, seeds)
+    routers = acquire_routers(num_partitions, salted_hosts, seeds)
     pool = acquire_pool(images, max(fetch_concurrency, parse_concurrency),
                         verify_pixels, drop_bytes)
-    offered = offer_seeds(actors, seeds, num_partitions,
-                          salted_hosts=salted_hosts, workers=routers)
-    ray.get([a.seal.remote() for a in actors])
-    if checkpoint_dir:
-        ray.get([a.checkpoint.remote(checkpoint_dir) for a in actors])
-    admissions = drain_admissions_chunked(actors, target_rows=batch_size,
-                                          seal=False)
-    records = fetch_and_parse(
-        admissions, images, fetch_concurrency=fetch_concurrency,
-        parse_concurrency=parse_concurrency, batch_size=batch_size,
-        verify_pixels=verify_pixels, drop_bytes=drop_bytes, pool=pool)
-    metrics = ray.get([a.get_metrics.remote() for a in actors])
-    release_frontier(actors, routers, pool=pool)
+    try:
+        offered = offer_seeds(actors, seeds, num_partitions,
+                              salted_hosts=salted_hosts, workers=routers)
+        ray.get([a.seal.remote() for a in actors])
+        if checkpoint_dir:
+            ray.get([a.checkpoint.remote(checkpoint_dir) for a in actors])
+        admissions = drain_admissions_chunked(
+            actors, target_rows=batch_size, seal=False)
+        records = fetch_and_parse(
+            admissions, images, fetch_concurrency=fetch_concurrency,
+            parse_concurrency=parse_concurrency, batch_size=batch_size,
+            verify_pixels=verify_pixels, drop_bytes=drop_bytes, pool=pool)
+        metrics = ray.get([a.get_metrics.remote() for a in actors])
+    finally:
+        # on an error too: a dead actor is replaced when next acquired
+        release_frontier(actors, routers, pool=pool)
     if output_dir:
         # 0-CPU write tasks: they only wait on the pool and do IO
         records.write_parquet(output_dir, ray_remote_args={"num_cpus": 0})
@@ -485,32 +501,34 @@ N_DISCOVER_WORKERS = 4
 
 
 class _DiscoverWorker(_Reusable):
-    """Router actor (a DiscoverRouteStage) that offers a crawl's seeds
-    and an iterative crawl's links; kept by ``_WARM`` across crawls
-    (a plain class, so tests can instantiate it directly)."""
+    """Router actor (a DiscoverRouteStage) for a crawl's seeds and an
+    iterative crawl's links: each call returns one OFFER_SCHEMA slice
+    per partition (:func:`_route_and_offer`), and nothing is kept
+    between calls.  Kept by ``_WARM`` across crawls (a plain class, so
+    tests can instantiate it directly)."""
 
-    def __init__(self, discover_fn, actors, num_partitions,
-                 salted_hosts, discover_batch_fn=None):
+    def __init__(self, discover_fn, num_partitions, salted_hosts,
+                 discover_batch_fn=None):
         self.stage = DiscoverRouteStage(
-            discover_fn, actors, num_partitions, salted_hosts,
+            discover_fn, (), num_partitions, salted_hosts,
             discover_batch_fn=discover_batch_fn)
 
-    def offer(self, seeds) -> int:
-        """Buffer seed rows: a table or a (parquet file, row group)."""
+    def offer(self, seeds):
+        """Route seed rows: a table or a (parquet file, row group)."""
         if isinstance(seeds, tuple):
             seeds = pq.ParquetFile(seeds[0]).read_row_group(seeds[1])
-        return self.stage.offer(seeds)
+        return self._returns(self.stage.offer(seeds))
 
-    def process(self, block: pa.Table, i: int, k: int) -> int:
-        """Find links in piece ``i`` of ``k`` of a drained block."""
+    def process(self, block: pa.Table, i: int, k: int):
+        """Route the links found in piece ``i`` of ``k`` of a drained
+        block."""
         s, e = block.num_rows * i // k, block.num_rows * (i + 1) // k
-        if e > s:                  # delivered at flush()
-            self.stage(block.slice(s, e - s))
-        return e - s
+        links = self.stage(block.slice(s, e - s)) if e > s else None
+        return self._returns(self.stage.route(links))
 
-    def flush(self, *after) -> int:
-        # runs once the refs ``after`` are ready; returns once delivered
-        return self.stage.flush()
+    @staticmethod
+    def _returns(slices):
+        return slices if len(slices) > 1 else slices[0]  # Ray: 1 = bare
 
 
 def _iter_checkpoint(actors, checkpoint_dir, gen, segments, tables):
@@ -581,15 +599,17 @@ def run_iterative_crawl(seeds, politeness, discover_fn, *,
     stays the executable spec and the two are equivalence-pinned in
     tests/test_sources_iterative.py.
 
-    The crawl's routers (:func:`acquire_routers`) offer the seeds,
-    then each iteration's links: every partition's drained block goes
-    by reference to the routers (in pieces when they outnumber the
-    partitions), which push the links to the partitions directly.
-    The driver waits once per iteration, for those deliveries and the
-    previous seals, then queues the next seals; admission tables reach
-    it only at a checkpoint and at the end.  Admission is decided over
-    a seq-sorted view at seal, so arrival order cannot change the
-    schedule; the spec is ``sim.simulate_iterative`` (pinned in tests).
+    The crawl's routers (:func:`acquire_routers`) route the seeds,
+    then each iteration's links.  Per iteration the driver queues on
+    every partition a drain, one offer taking as arguments the link
+    slices the routers return for its block (in pieces when routers
+    outnumber partitions), and a seal; an actor runs one caller's
+    calls in order, even when an argument is ready late.  The driver
+    waits only on each drain's ``(rows, bytes, pending)``; admission
+    tables reach it only at a checkpoint and at the end.  Admission
+    is decided over a seq-sorted view at seal, so arrival order
+    cannot change the schedule; the spec is
+    ``sim.simulate_iterative`` (pinned in tests).
 
     ``checkpoint_dir`` + ``checkpoint_every=k``: every k iterations,
     after that iteration's seal (a quiescent point: all of the round's
@@ -623,38 +643,41 @@ def run_iterative_crawl(seeds, politeness, discover_fn, *,
         actors = start_frontier(politeness, num_partitions, salted_hosts)
         admissions, segments, gen = [], [], 0
     # persistent routers, reused every iteration (lesson 26)
-    workers = acquire_routers(actors, num_partitions, salted_hosts,
+    workers = acquire_routers(num_partitions, salted_hosts,
                               discover_fn=discover_fn,
                               discover_batch_fn=discover_batch_fn)
     # k pieces per drained block keep every router busy when P < routers
-    k, blocks, seals = -(-len(workers) // num_partitions), [], []
+    k, blocks, queued = -(-len(workers) // num_partitions), [], []
     try:
         if not resume:
             offer_seeds(actors, seeds, num_partitions, workers=workers)
-            seals = [a.seal.remote() for a in actors]
+            queued = [a.seal.remote() for a in actors]
         for it in range(max_iters):
-            drains = [a.drain.remote(rounds_per_iter) for a in actors]
-            calls = [workers[j % len(workers)].process.remote(
-                drains[j // k], j % k, k) for j in range(len(drains) * k)]
-            # no link reaches a partition before its previous seal
-            flushes = [w.flush.remote(*seals) for w in workers]
-            # the one barrier: links delivered, previous seals done; on
-            # an error no router call is left running at the release
-            if sum(get_settled(calls + flushes + seals)[:len(calls)]) == 0:
-                if sum(ray.get([a.pending.remote() for a in actors])) == 0:
+            drains = [a.drain_block.options(num_returns=2)
+                      .remote(max_rounds=rounds_per_iter) for a in actors]
+            # per partition: drain, offer, seal, then the next drain
+            queued_now = _route_and_offer(actors, [
+                (workers[j % len(workers)].process,
+                 (drains[j // k][0], j % k, k))
+                for j in range(num_partitions * k)]) \
+                + [a.seal.remote() for a in actors]
+            # the one wait: this drain's metadata, and the calls queued
+            # before it, so that none of their errors goes unseen
+            metas = ray.get([m for _, m in drains] + queued)[:len(actors)]
+            queued = queued_now
+            if sum(m[0] for m in metas) == 0:
+                if sum(m[2] for m in metas) == 0:
                     break
                 continue
-            blocks += drains
-            # runs before the next drain or checkpoint (one caller)
-            seals = [a.seal.remote() for a in actors]
+            blocks += [b for b, _ in drains]
             if checkpoint_dir and checkpoint_every \
                     and (it + 1) % checkpoint_every == 0:
-                tables = ray.get(seals + blocks)[len(seals):]
+                tables = ray.get(queued + blocks)[len(queued):]
                 gen += 1
                 segments = _iter_checkpoint(actors, checkpoint_dir, gen,
                                             segments, tables)
                 admissions, blocks = admissions + tables, []
-        admissions += ray.get(seals + blocks)[len(seals):]
+        admissions += ray.get(queued + blocks)[len(queued):]
         result = pa.concat_tables(admissions) if admissions else None
         metrics = ray.get([a.get_metrics.remote() for a in actors])
         seen = ray.get([a.seen_hashes.remote() for a in actors])

@@ -785,7 +785,7 @@ def q_crawl_admissions(sf_dir: str):
 
     images, _, seeds, politeness = _crawl_tables(sf_dir)
     actors = cp.start_frontier(politeness.to_pylist(), num_partitions=2)
-    routers = cp.acquire_routers(actors, 2, seeds=seeds)
+    routers = cp.acquire_routers(2, seeds=seeds)
     cp.offer_seeds(actors, seeds, 2, workers=routers)
     # seal BEFORE drain: offers stay buffered until seal and drain only
     # walks sealed queues (frontier.py); same pattern as run_crawl and
@@ -865,7 +865,7 @@ def q_crawl_metrics(sf_dir: str):
 
     _, _, seeds, politeness = _crawl_tables(sf_dir)
     actors = cp.start_frontier(politeness.to_pylist(), num_partitions=4)
-    routers = cp.acquire_routers(actors, 4, seeds=seeds)
+    routers = cp.acquire_routers(4, seeds=seeds)
     cp.offer_seeds(actors, seeds, 4, workers=routers)
     ray.get([a.seal.remote() for a in actors])
     ray.get([a.drain.remote(None) for a in actors])
@@ -2349,7 +2349,7 @@ def q_crawl_seen_set(sf_dir: str):
 
     _, _, seeds, politeness = _crawl_tables(sf_dir)
     actors = cp.start_frontier(politeness.to_pylist(), num_partitions=2)
-    routers = cp.acquire_routers(actors, 2, seeds=seeds)
+    routers = cp.acquire_routers(2, seeds=seeds)
     cp.offer_seeds(actors, seeds, 2, workers=routers)
     ray.get([a.seal.remote() for a in actors])
     ray.get([a.drain.remote(None) for a in actors])

@@ -73,8 +73,7 @@ def run_resumable_crawl(images, seeds, politeness, *, output_dir: str,
         routers = []
     else:
         actors = cp.start_frontier(politeness, num_partitions, salted_hosts)
-        routers = cp.acquire_routers(actors, num_partitions, salted_hosts,
-                                     seeds)
+        routers = cp.acquire_routers(num_partitions, salted_hosts, seeds)
     # one fetch+parse pool for every partition, acquired after the
     # actors the offer waits on, so a cold pool starts during the offer
     fetchers = cp.acquire_pool(images, max(fetch_concurrency,

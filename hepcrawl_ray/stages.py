@@ -29,7 +29,7 @@ import pyarrow as pa
 from hepcrawl_ray import codecs, urlkit
 from hepcrawl_ray.caption import parse_caption_batch
 from hepcrawl_ray.frontier import (ADMIT_SCHEMA, canonicalize_batch,
-                                   offer_routed)
+                                   split_routed)
 from hepcrawl_ray.synth import GOLDEN_SCHEMA
 
 FETCH_ERROR_NOT_FOUND = "fetch failed: image not found"
@@ -361,59 +361,49 @@ class ParseStage:
 
 
 class DiscoverRouteStage:
-    """In-stage link discovery: links extracted from admitted rows are
-    routed straight back to the frontier actors (worker -> actor; no
-    driver round-trip per row).
+    """Link discovery and routing for the router actors
+    (``pipelines.crawl._DiscoverWorker``): ``__call__`` extracts the
+    links of admitted rows and canonicalizes them, :meth:`offer`
+    canonicalizes seed rows as they are, and :meth:`route` cuts
+    canonical offers into one slice per frontier partition.  The stage
+    holds no partition handle and nothing between calls: its caller
+    hands the slices to the partitions as call arguments (lesson 28).
+    ``actors`` and ``buffered`` are unused; they stay only so callers
+    that pass them (the benchmark's discover ledger) keep working.
 
     The production shape of the iterative crawl (reference analog: the
     PoS 3-hop chain, hepcrawl/spiders/pos_spider.py:93-199, where each
-    parse callback yields the next request).  ``__call__`` extracts and
-    canonicalizes only, and :meth:`offer` canonicalizes seed rows (the
-    routers of ``pipelines.crawl.offer_seeds``, which run no
-    discovery); :meth:`flush` delivers ONE merged table per
-    partition and awaits it, so once every worker's flush returns the
-    driver can seal.  Per-batch delivery serialized on the frontier
-    actors' inboxes (CLAUDE.md lesson 28).  ``buffered`` must be
-    ``True``: the keyword stays only so callers that pass it (the
-    benchmark's discover ledger) keep working.
+    parse callback yields the next request).
 
     Determinism: admission is decided over a seq-sorted view at seal
-    (frontier.seal), so neither arrival order nor merging can change
-    the schedule — pinned by the in-stage == simulator test
-    (tests/test_sources_iterative.py).
+    (frontier.seal), so neither arrival order nor how the offers were
+    cut can change the schedule — pinned by the in-stage == simulator
+    test (tests/test_sources_iterative.py).
     """
 
     def __init__(self, discover_fn, actors, num_partitions,
                  salted_hosts=None, discover_batch_fn=None,
                  buffered=True):
-        if not buffered:
-            raise ValueError("DiscoverRouteStage always buffers offers "
-                             "until flush(); buffered must be True")
         self.discover_fn = discover_fn
-        self.actors = actors
         self.num_partitions = num_partitions
         self.salted_hosts = salted_hosts
         self.discover_batch_fn = discover_batch_fn
-        self._buf: list[pa.Table] = []
 
-    def flush(self) -> int:
-        """Deliver all buffered offers (one merged table per
-        partition) and await delivery; returns rows delivered."""
-        if not self._buf:
-            return 0
-        offers = pa.concat_tables(self._buf).combine_chunks()
-        self._buf = []
-        return offer_routed(self.actors, offers, self.num_partitions,
-                            self.salted_hosts)
+    def route(self, offers: pa.Table | None) -> list:
+        """One OFFER_SCHEMA slice of ``offers`` per partition, ``None``
+        where a partition gets no row."""
+        if offers is None or not offers.num_rows:
+            return [None] * self.num_partitions
+        return split_routed(offers, self.num_partitions, self.salted_hosts)
 
-    def offer(self, seeds: pa.Table) -> int:
-        """Canonicalize seed rows and buffer them as they are, with no
-        discovery; delivered at :meth:`flush`."""
-        if seeds.num_rows:
-            self._buf.append(canonicalize_batch(seeds))
-        return seeds.num_rows
+    def offer(self, seeds: pa.Table) -> list:
+        """Seed rows canonicalized as they are, with no discovery, and
+        routed."""
+        return self.route(canonicalize_batch(seeds))
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table) -> pa.Table | None:
+        """The canonical links (OFFER_SCHEMA) found in ``batch``'s
+        rows, or ``None`` when there are none."""
         if self.discover_batch_fn is not None:
             # vectorized contract: (urls, seqs) -> (offer table with
             # url/priority/seq/mtime/set_id columns, per-row link
@@ -423,18 +413,13 @@ class DiscoverRouteStage:
             # tests/test_sources_iterative.py).  At 61 us/row the
             # per-row Python callback dominated the iterative bench's
             # wall clock.
-            raw, counts = self.discover_batch_fn(
-                batch.column("url"), batch.column("seq"))
-            n_links = np.asarray(counts, dtype=np.int64)
+            raw, _ = self.discover_batch_fn(batch.column("url"),
+                                            batch.column("seq"))
         else:
-            n_links = np.zeros(batch.num_rows, dtype=np.int64)
             new_rows: list[dict] = []
-            for i, (url, seq) in enumerate(
-                    zip(batch.column("url").to_pylist(),
-                        batch.column("seq").to_pylist())):
-                found = self.discover_fn(url, seq)
-                n_links[i] = len(found)
-                new_rows.extend(found)
+            for url, seq in zip(batch.column("url").to_pylist(),
+                                batch.column("seq").to_pylist()):
+                new_rows.extend(self.discover_fn(url, seq))
             raw = pa.table({
                 "url": [r["url"] for r in new_rows],
                 "priority": [float(r.get("priority", 0.0))
@@ -443,6 +428,6 @@ class DiscoverRouteStage:
                 "mtime": [int(r.get("mtime", 0)) for r in new_rows],
                 "set_id": [r.get("set_id", "") for r in new_rows],
             }) if new_rows else None
-        if raw is not None and raw.num_rows:
-            self._buf.append(canonicalize_batch(raw))  # delivered at flush()
-        return batch.append_column("n_links", pa.array(n_links))
+        if raw is None or not raw.num_rows:
+            return None
+        return canonicalize_batch(raw)

@@ -280,6 +280,74 @@ class TestParallelPool:
         assert records.count() == 69 + 166
 
 
+class TestDrainFaults:
+    def test_dead_partition_fails_the_chunked_drain(self, ray_session,
+                                                    corpus, monkeypatch):
+        """A frontier partition killed between two rounds of
+        run_crawl's chunked drain: the crawl raises a RayActorError
+        within a deadline, hands every actor it took back idle, and
+        the next crawl replaces the dead partition and still equals
+        the simulator."""
+        import sys
+
+        import ray
+
+        images, _, seeds, politeness = corpus
+        partitions, rounds = [], []
+        real_start, real_get = cp.start_frontier, ray.get
+
+        def start(*args, **kwargs):
+            partitions[:] = real_start(*args, **kwargs)
+            return partitions
+
+        def get(refs, *args, **kwargs):
+            if sys._getframe(1).f_code.co_name == \
+                    "drain_admissions_chunked":
+                rounds.append(1)
+                if len(rounds) == 2:
+                    ray.kill(partitions[1])
+            return real_get(refs, *args, **kwargs)
+
+        monkeypatch.setattr(cp, "start_frontier", start)
+        monkeypatch.setattr(ray, "get", get)
+        caught = []
+
+        def crawl():
+            try:
+                cp.run_crawl(images, seeds, politeness, num_partitions=3,
+                             fetch_concurrency=2, parse_concurrency=2,
+                             batch_size=16)
+            except Exception as exc:      # noqa: BLE001 - inspected below
+                caught.append(exc)
+
+        th = threading.Thread(target=crawl, daemon=True)
+        th.start()
+        th.join(timeout=60)
+        monkeypatch.undo()
+        assert not th.is_alive(), "run_crawl hung on a dead partition"
+        assert len(rounds) >= 2, "the drain ended before the kill"
+        assert len(caught) == 1, "run_crawl ended without an error"
+        assert isinstance(caught[0], ray.exceptions.RayActorError), \
+            repr(caught[0])
+
+        idle = {h for _, h in cp._WARM._idle}
+        assert set(partitions) <= idle
+        assert sum(c is cp._DiscoverWorker for c, _ in cp._WARM._idle) >= 1
+        assert sum(c is cp._FetchParseWorker for c, _ in cp._WARM._idle) \
+            >= 1
+        out = cp.run_crawl(images, seeds, politeness, num_partitions=3,
+                           fetch_concurrency=2, parse_concurrency=2,
+                           batch_size=16)
+        table = _records(out).sort_by([("round", "ascending"),
+                                       ("host", "ascending"),
+                                       ("pop_idx", "ascending")])
+        got = list(zip(*(table.column(c).to_pylist()
+                         for c in ("round", "host", "url", "seq"))))
+        ref = simulate(seeds.to_pylist(), politeness.to_pylist())
+        assert got == [(r, h, u, s) for (r, h, u, s, _p, _m)
+                       in ref.admissions]
+
+
 class TestOfferSeeds:
     """offer_seeds: every seed row reaches the frontier through the
     router actors, in ``offer_batch_size`` slices of a table or in the

@@ -152,6 +152,22 @@ class TestChunkedDrain:
         assert got.num_rows == full.num_rows
         assert got.sort_by(self.CANON).equals(full.sort_by(self.CANON))
 
+    def test_drained_columns_are_one_chunk(self, fixture_tables):
+        """drain and drain_block return one chunk per column, not one
+        per host queue (ray.put of a table pays per chunk)."""
+        _, seeds, politeness = fixture_tables
+        parts, block_parts = self._twin_parts(seeds, politeness)
+        # partitions 1 and 2 hold several host queues, so each block
+        # has one chunk per queue before it is joined
+        outs = [parts[1].drain(2), parts[2].drain(),
+                block_parts[1].drain_block(16)[0],
+                block_parts[2].drain_block(None, 2)[0],
+                block_parts[2].drain_block()[0]]
+        assert all(len(set(t.column("host").to_pylist())) > 1
+                   for t in outs)
+        for t in outs:
+            assert [c.num_chunks for c in t.columns] == [1] * t.num_columns
+
     def test_chunk_on_empty_partition(self, fixture_tables):
         _, _, politeness = fixture_tables
         p = FrontierPartition(0, 1, politeness.to_pylist())
@@ -174,6 +190,71 @@ class TestChunkedDrain:
         # run_crawl drains in chunks of batch_size; 1 << 20 rows is far
         # above any partition's schedule, so each drains in one block
         assert run(32).equals(run(1 << 20))
+
+
+class TestOfferArguments:
+    """FrontierPartition.offer(*tables): a crawl passes the slices its
+    routers returned for a partition as the arguments of one call."""
+
+    @staticmethod
+    def _offers(fixture_tables):
+        _, seeds, politeness = fixture_tables
+        return canonicalize_batch(seeds), politeness.to_pylist()
+
+    def test_none_and_empty_slices_are_skipped(self, fixture_tables):
+        offers, pol = self._offers(fixture_tables)
+        p = FrontierPartition(0, 1, pol)
+        assert p.offer() == 0
+        assert p.offer(None, offers.slice(0, 0)) == 0
+        assert p.seal()["seal_batches"] == 0       # nothing was buffered
+        assert p.offer(None, offers.slice(0, 0), offers.slice(0, 5),
+                       None) == 5
+        m = p.seal()
+        assert (m["offered"], m["seal_batches"]) == (5, 1)
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_k_slices_seal_like_one_offer(self, fixture_tables, k):
+        """k slices as separate arguments, in any order, seal to the
+        same queues and metrics as one concatenated offer."""
+        offers, pol = self._offers(fixture_tables)
+        cuts = [offers.num_rows * i // k for i in range(k + 1)]
+        slices = [offers.slice(s, e - s) for s, e in zip(cuts, cuts[1:])]
+        one, many = FrontierPartition(0, 1, pol), FrontierPartition(0, 1, pol)
+        assert one.offer(offers) == many.offer(*slices[::-1])
+        assert one.seal() == many.seal()
+        assert one.queues.keys() == many.queues.keys()
+        for key, q in one.queues.items():
+            assert q["rows"].equals(many.queues[key]["rows"])
+        assert one.drain().equals(many.drain())
+
+    def test_late_argument_runs_before_the_next_seal(self, ray_session,
+                                                     fixture_tables):
+        """An offer whose argument a router returns 0.5 s late still
+        runs before the seal queued after it: an actor runs one
+        caller's calls in the order they were queued, which the
+        iterative crawl relies on to queue offer and seal unawaited."""
+        import time
+
+        import ray
+
+        offers, pol = self._offers(fixture_tables)
+
+        @ray.remote(num_cpus=0.05)
+        class SlowRouter:
+            def route(self, table):
+                time.sleep(0.5)
+                return table
+
+        part = ray.remote(num_cpus=0.05)(FrontierPartition).remote(0, 1, pol)
+        router = SlowRouter.remote()
+        ray.get([part.pending.remote(), router.__ray_ready__.remote()])
+        t0 = time.perf_counter()
+        offered = part.offer.remote(router.route.remote(offers))
+        metrics = ray.get(part.seal.remote())
+        assert time.perf_counter() - t0 >= 0.5
+        assert metrics["offered"] == ray.get(offered) == offers.num_rows
+        ray.kill(part)
+        ray.kill(router)
 
 
 class TestResume:

@@ -666,3 +666,68 @@ class TestIterativeLoop:
         want, seen = _sim_schedule(seeds, politeness, discover)
         assert _schedule(out["admissions"]) == want
         assert out["seen"] == seen
+
+    def test_dead_router_fails_its_offer(self, ray_session, tmp_path):
+        """A router killed while it finds an iteration's links: the
+        crawl raises the router's RayActorError, from the offer that
+        took its slices (the driver never fetches a router's return),
+        within a deadline; the crawl's actors go back idle, and the
+        next crawl replaces the dead router and equals the
+        simulator."""
+        import threading
+
+        import ray
+        from hepcrawl_ray.frontier import FrontierPartition
+        from hepcrawl_ray.pipelines import crawl as cp
+
+        seeds, politeness, discover = _multihost_tree(400)
+        marker = tmp_path / "killed"
+
+        def die_on_links(urls, seqs):
+            import os
+
+            import ray
+
+            # links are admitted from the second iteration on
+            if max(seqs.to_pylist()) < _CHILD_BASE:
+                return
+            me = ray.get_runtime_context().get_actor_id()
+            try:
+                fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                return
+            os.write(fd, me.encode())
+            os.close(fd)
+            ray.kill(ray.get_runtime_context().current_actor)
+
+        caught = []
+
+        def run():
+            try:
+                cp.run_iterative_crawl(
+                    seeds, politeness, discover, num_partitions=3,
+                    discover_batch_fn=_batch_of(discover, die_on_links))
+            except Exception as exc:      # noqa: BLE001 - inspected below
+                caught.append(exc)
+
+        th = threading.Thread(target=run, daemon=True)
+        th.start()
+        th.join(timeout=60)
+        assert not th.is_alive(), "the crawl hung on a dead router"
+        assert len(caught) == 1, "the crawl ended without an error"
+        exc = caught[0]
+        assert isinstance(exc, ray.exceptions.RayActorError), repr(exc)
+        assert exc.actor_id == marker.read_text(), repr(exc)
+
+        idle = cp._WARM._idle
+        assert sum(c is FrontierPartition for c, _ in idle) == 3
+        routers = _idle_routers()
+        assert len(routers) == cp.N_DISCOVER_WORKERS
+        assert marker.read_text() in {h._actor_id.hex() for h in routers}
+        out = cp.run_iterative_crawl(seeds, politeness, discover,
+                                     num_partitions=3,
+                                     discover_batch_fn=_batch_of(discover))
+        assert len(_idle_routers() - routers) == 1     # the replacement
+        want, seen = _sim_schedule(seeds, politeness, discover)
+        assert _schedule(out["admissions"]) == want
+        assert out["seen"] == seen

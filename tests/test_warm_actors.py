@@ -137,15 +137,15 @@ class TestReuse:
         _, seeds, politeness = corpus
         monkeypatch.setattr(cp, "_WARM", cp._WarmActors())
         actors = cp.start_frontier(politeness.to_pylist(), 2)
-        one = cp.acquire_routers(actors, 2, seeds=seeds)
+        one = cp.acquire_routers(2, seeds=seeds)
         assert len(one) == 1
         cp.release_frontier(actors, one)
         actors = cp.start_frontier(politeness.to_pylist(), 2)
-        full = cp.acquire_routers(actors, 2)
+        full = cp.acquire_routers(2)
         assert len(full) == cp.N_DISCOVER_WORKERS and one[0] in full
         cp.release_frontier(actors, full)
         actors = cp.start_frontier(politeness.to_pylist(), 2)
-        assert set(cp.acquire_routers(actors, 2, seeds=seeds)) == set(full)
+        assert set(cp.acquire_routers(2, seeds=seeds)) == set(full)
 
     def test_reset_partition_equals_new(self, corpus):
         """FrontierPartition.reset drops the seen set, queues, buffered
