@@ -54,66 +54,87 @@ def encode_png(pixels: np.ndarray) -> bytes:
     return _PNG_SIG + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", idat) + _chunk(b"IEND", b"")
 
 
-def _paeth(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    p = a.astype(np.int16) + b.astype(np.int16) - c.astype(np.int16)
-    pa, pb, pc = np.abs(p - a), np.abs(p - b), np.abs(p - c)
-    out = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
-    return out.astype(np.uint8)
-
-
-def decode_png(data: bytes) -> np.ndarray:
-    """Decode an RGB8 PNG produced by any filter-0..4 encoder."""
+def _png_rows(data) -> tuple[np.ndarray, int, int]:
+    """Parse an RGB8 PNG's chunks and inflate its IDAT stream once:
+    ``(raw (h, 1 + 3w) uint8 scanlines with their filter bytes, w, h)``.
+    ``data`` is any byte buffer (bytes, or a ``'B'`` memoryview)."""
     if data[:8] != _PNG_SIG:
         raise ValueError("not a PNG")
-    pos, w = 8, 0
-    idat = b""
-    h = bitdepth = colortype = None
+    pos = 8
+    idat = []
+    w = h = None
     while pos < len(data):
         (length,) = struct.unpack(">I", data[pos:pos + 4])
-        tag = data[pos + 4:pos + 8]
+        tag = bytes(data[pos + 4:pos + 8])
         body = data[pos + 8:pos + 8 + length]
         pos += 12 + length
         if tag == b"IHDR":
-            w, h, bitdepth, colortype, _, _, interlace = struct.unpack(">IIBBBBB", body)
+            w, h, bitdepth, colortype, _, _, interlace = struct.unpack(
+                ">IIBBBBB", body)
             if bitdepth != 8 or colortype != 2 or interlace != 0:
                 raise ValueError("only 8-bit non-interlaced RGB supported")
         elif tag == b"IDAT":
-            idat += body
+            idat.append(body)
         elif tag == b"IEND":
             break
-    raw = np.frombuffer(zlib.decompress(idat), dtype=np.uint8)
-    stride = 1 + w * 3
-    raw = raw.reshape(h, stride)
+    if w is None or h is None:
+        raise ValueError("missing IHDR")
+    z = idat[0] if len(idat) == 1 else b"".join(idat)
+    raw = np.frombuffer(zlib.decompress(z), dtype=np.uint8)
+    return raw.reshape(h, 1 + w * 3), w, h
+
+
+def _unfilter(raw: np.ndarray, h: int, w: int) -> np.ndarray:
+    """(h, 3w) uint8 pixel rows from inflated scanlines ``raw`` (h,
+    1 + 3w), undoing all five PNG filters.  Unfiltered input comes
+    back as a view.  Sub reads only its own row, so every Sub row is
+    one per-channel cumulative sum mod 256, done first; Up is one
+    vector add; Average and Paeth depend on the byte to their left,
+    so they run over plain ints."""
     filters = raw[:, 0]
     if not filters.any():  # all filter-0 scanlines: no unfiltering needed
-        return np.ascontiguousarray(raw[:, 1:]).reshape(h, w, 3)
+        return raw[:, 1:]
     lines = raw[:, 1:].copy()
-    bpp = 3
-    prev = np.zeros(w * 3, dtype=np.uint8)
+    bpp, n = 3, w * 3
+    sub = filters == 1
+    if sub.any():
+        lines[sub] = np.cumsum(lines[sub].reshape(-1, w, bpp), axis=1,
+                               dtype=np.uint8).reshape(-1, n)
+    prev = np.zeros(n, dtype=np.uint8)
     for y in range(h):
-        f = filters[y]
+        f = int(filters[y])
         line = lines[y]
-        if f == 0:
-            pass
-        elif f == 1:  # Sub
-            for x in range(bpp, w * 3):
-                line[x] = (int(line[x]) + int(line[x - bpp])) & 0xFF
-        elif f == 2:  # Up
-            lines[y] = line = (line.astype(np.int16) + prev).astype(np.uint8)
+        if f == 2:  # Up
+            line += prev
         elif f == 3:  # Average
-            for x in range(w * 3):
-                left = int(line[x - bpp]) if x >= bpp else 0
-                line[x] = (int(line[x]) + (left + int(prev[x])) // 2) & 0xFF
+            cur, up = line.tolist(), prev.tolist()
+            for x in range(n):
+                left = cur[x - bpp] if x >= bpp else 0
+                cur[x] = (cur[x] + ((left + up[x]) >> 1)) & 0xFF
+            line[:] = cur
         elif f == 4:  # Paeth
-            for x in range(w * 3):
-                a = int(line[x - bpp]) if x >= bpp else 0
-                c = int(prev[x - bpp]) if x >= bpp else 0
-                line[x] = (int(line[x]) + int(_paeth(
-                    np.uint8(a), prev[x], np.uint8(c)))) & 0xFF
-        else:
+            cur, up = line.tolist(), prev.tolist()
+            for x in range(n):
+                if x >= bpp:
+                    a, c = cur[x - bpp], up[x - bpp]
+                else:
+                    a = c = 0
+                b = up[x]
+                p = a + b - c
+                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+                pred = a if pa <= pb and pa <= pc else (b if pb <= pc else c)
+                cur[x] = (cur[x] + pred) & 0xFF
+            line[:] = cur
+        elif f > 4:
             raise ValueError(f"bad filter {f}")
-        prev = lines[y]
-    return lines.reshape(h, w, 3)
+        prev = line
+    return lines
+
+
+def decode_png(data) -> np.ndarray:
+    """Decode an RGB8 PNG produced by any filter-0..4 encoder."""
+    raw, w, h = _png_rows(data)
+    return np.ascontiguousarray(_unfilter(raw, h, w)).reshape(h, w, 3)
 
 
 # ----------------------------------------------- lossy stand-in codec ----
@@ -131,67 +152,68 @@ def encode_lossy(pixels: np.ndarray, step: int = _QNT_STEP) -> bytes:
     return _QNT_MAGIC + struct.pack(">IIB", w, h, step) + payload
 
 
-_LOSSY_LUT: dict[int, np.ndarray] = {}
-
-
-def _lossy_lut(step: int) -> np.ndarray:
-    """Cached 256-entry dequantization LUT — the ONE definition of the
-    quantized->pixel mapping (decode_lossy and the fused luma path must
-    stay bit-identical)."""
-    lut = _LOSSY_LUT.get(step)
-    if lut is None:
-        lut = np.minimum(np.arange(256, dtype=np.uint16) * step,
-                         255).astype(np.uint8)
-        _LOSSY_LUT[step] = lut
-    return lut
-
-
-def decode_lossy(data: bytes) -> np.ndarray:
+def decode_lossy(data) -> np.ndarray:
     if data[:4] != _QNT_MAGIC:
         raise ValueError("not a QNT payload")
     w, h, step = struct.unpack(">IIB", data[4:13])
-    # dequantize through the LUT: one gather pass, no uint16
-    # temporaries (the multiply+minimum+astype chain cost 3 extra
-    # full-image passes of DRAM traffic)
     q = np.frombuffer(zlib.decompress(data[13:]), dtype=np.uint8)
-    return _lossy_lut(step)[q].reshape(h, w, 3)
+    # dequantize as min(q*step, 255), the map decode_luma computes in
+    # float32; a numpy LUT gather (lut[q]) is ~3x slower on a 72-px
+    # image than this uint16 arithmetic
+    px = np.multiply(q, step, dtype=np.uint16)
+    np.minimum(px, 255, out=px)
+    return px.astype(np.uint8).reshape(h, w, 3)
 
 
 # ------------------------------------------------ fused luma decode ----
 #
 # The verify stage needs only (h, w) and the luma plane (phash input),
-# never the RGB array.  Decoding straight to luma through integer LUTs
-# skips materializing (h, w, 3) intermediates — at 72px that is ~100 KB
-# of DRAM traffic per image the fused fetch+parse stage never touches.
-# Bit-exactness: luma = (77 r + 151 g + 28 b) >> 8 over the decoded
-# channel values, composed INTO the LUTs, so the result is integer-
-# identical to decode() + the phash luma step.
+# never the RGB array.  Decoding straight to luma skips materializing
+# (h, w, 3) uint8 intermediates.  Bit-exactness: luma =
+# (77 r + 151 g + 28 b) >> 8 over the decoded channel values, so the
+# result is integer-identical to decode() + the phash luma step
+# (pinned by tests/test_codec_kernels.py).
+#
+# _LUMA_WT: the luma weights over 256 (exact in float32: 77/256 =
+# 0.30078125), tiled over the interleaved r, g, b values of images up
+# to 128x128; a larger image tiles its own.
+_LUMA_W = np.array([77, 151, 28], dtype=np.float32) / np.float32(256)
+_LUMA_WT = np.tile(_LUMA_W, 128 * 128)
+_F255 = np.float32(255)
 
-_LUMA_W3 = np.array([77.0, 151.0, 28.0], dtype=np.float32)
 
-
-def _luma_from_rgb_bytes(flat: np.ndarray, h: int, w: int,
+def _luma_from_rgb_bytes(rgb: np.ndarray, h: int, w: int,
                          step: int | None) -> np.ndarray:
-    """(h*w*3,) encoded channel bytes -> (h, w) float32 luma.
+    """h*w*3 encoded channel bytes (flat, or (h, 3w) rows) -> (h, w)
+    float32 luma.
 
-    The weighted sum runs as a BLAS matvec in float32, which is
-    bit-exact vs the integer path: every product (<= 151*255), the sum
-    (<= 255*256) and the 2^-8 scaling are exactly representable, so
-    floor(acc/256) == (77 r + 151 g + 28 b) >> 8."""
+    All float32 arithmetic, exact vs the integer path: QNT dequantizes
+    as min(q*step, 255); each channel value times its weight/256 is
+    an integer below 2^24 scaled by 2^-8, and so is the sum of the
+    strided r, g and b views, so floor(sum) ==
+    (77 r + 151 g + 28 b) >> 8.  A numpy LUT gather (``lut[q]``) costs
+    ~10x this arithmetic on a 72-px image, and a 3-column BLAS matvec
+    is slower than one contiguous multiply by the tiled weights."""
+    f = rgb.astype(np.float32).reshape(-1)
     if step is not None:
-        flat = _lossy_lut(step)[flat]
-    rgbf = flat.reshape(-1, 3).astype(np.float32)
-    acc = rgbf @ _LUMA_W3
-    return np.floor(acc * (1.0 / 256.0)).reshape(h, w)
+        f *= np.float32(step)
+        np.minimum(f, _F255, out=f)
+    n = f.size
+    wt = _LUMA_WT if n <= _LUMA_WT.size else np.tile(_LUMA_W, -(-n // 3))
+    f *= wt[:n]
+    acc = f[0::3] + f[1::3]
+    acc += f[2::3]
+    return np.floor(acc, out=acc).reshape(h, w)
 
 
-def decode_luma(data: bytes, fmt: str) -> tuple[np.ndarray, int, int]:
+def decode_luma(data, fmt: str) -> tuple[np.ndarray, int, int]:
     """Decode straight to (luma float32, w, h) without an RGB array.
 
-    PNG falls back to the full decode when any scanline uses a filter
-    (our encoder always writes filter 0); QNT dequantizes through the
-    composed LUTs.  Integer-identical to
-    ``phash-luma(decode(data, fmt))``.
+    ``data`` is any byte buffer: bytes, or a ``'B'`` memoryview over
+    the corpus' own Arrow buffers (the fused fetch+parse stage).  PNG
+    unfilters the scanlines it inflated (our encoder always writes
+    filter 0, which needs no pass); QNT dequantizes in the luma
+    arithmetic.  Integer-identical to ``phash-luma(decode(data, fmt))``.
     """
     if fmt == "jpeg":
         if data[:4] != _QNT_MAGIC:
@@ -200,35 +222,8 @@ def decode_luma(data: bytes, fmt: str) -> tuple[np.ndarray, int, int]:
         q = np.frombuffer(zlib.decompress(data[13:]), dtype=np.uint8)
         return _luma_from_rgb_bytes(q, h, w, int(step)), w, h
     if fmt == "png":
-        if data[:8] != _PNG_SIG:
-            raise ValueError("not a PNG")
-        pos = 8
-        idat = b""
-        w = h = None
-        while pos < len(data):
-            (length,) = struct.unpack(">I", data[pos:pos + 4])
-            tag = data[pos + 4:pos + 8]
-            body = data[pos + 8:pos + 8 + length]
-            pos += 12 + length
-            if tag == b"IHDR":
-                w, h, bitdepth, colortype, _, _, interlace = struct.unpack(
-                    ">IIBBBBB", body)
-                if bitdepth != 8 or colortype != 2 or interlace != 0:
-                    raise ValueError("only 8-bit non-interlaced RGB supported")
-            elif tag == b"IDAT":
-                idat += body
-            elif tag == b"IEND":
-                break
-        if w is None or h is None:
-            raise ValueError("missing IHDR")  # keep the ValueError
-            # contract of the jpeg/unknown-fmt branches on garbled input
-        raw = np.frombuffer(zlib.decompress(idat), dtype=np.uint8)
-        raw = raw.reshape(h, 1 + w * 3)
-        if raw[:, 0].any():  # filtered scanlines: full decode path
-            px = decode_png(data)
-            return _luma_from_rgb_bytes(px.reshape(-1), h, w, None), w, h
-        return _luma_from_rgb_bytes(
-            np.ascontiguousarray(raw[:, 1:]).reshape(-1), h, w, None), w, h
+        raw, w, h = _png_rows(data)
+        return _luma_from_rgb_bytes(_unfilter(raw, h, w), h, w, None), w, h
     raise ValueError(f"unknown fmt {fmt!r}")
 
 
@@ -279,14 +274,17 @@ def _dct_matrix(n: int) -> np.ndarray:
 _DCT_M = _dct_matrix(_DCT_N)
 
 
-_GRAY_W = np.array([0.299, 0.587, 0.114], dtype=np.float32)
 _POOL_CACHE: dict[int, np.ndarray] = {}
 _BIT_WEIGHTS = (np.uint64(1) << np.arange(63, -1, -1, dtype=np.uint64))
 
 
 def _pool_matrix(n: int) -> np.ndarray:
-    """(32, n) DCT-fused mean-pooling matrix (DCT @ pool): one matmul
-    pair resamples AND transforms — cached per source size."""
+    """(8, n) DCT-fused mean-pooling matrix: the first 8 rows of
+    DCT(32) @ pool(32, n), so one matmul pair resamples to 32x32 AND
+    transforms, computing only the 8x8 low-frequency corner phash
+    reads.  The product is formed in float64 at full size and then
+    cut, so its rows are the same numbers as the full 32-row matrix's.
+    Cached per source size."""
     m = _POOL_CACHE.get(n)
     if m is None:
         yi = np.arange(_DCT_N + 1) * n // _DCT_N
@@ -294,24 +292,33 @@ def _pool_matrix(n: int) -> np.ndarray:
         for r in range(_DCT_N):
             lo, hi = yi[r], max(yi[r + 1], yi[r] + 1)
             pool[r, lo:hi] = 1.0 / (hi - lo)
-        m = np.ascontiguousarray((_DCT_M @ pool).astype(np.float32))
+        m = np.ascontiguousarray((_DCT_M @ pool)[:_DCT_K].astype(np.float32))
         _POOL_CACHE[n] = m
     return m
+
+
+def _dct_block(gray: np.ndarray) -> np.ndarray:
+    """The 8x8 low-frequency DCT block of a (h, w) float32 luma plane
+    area-resampled to 32x32."""
+    h, w = gray.shape
+    return _pool_matrix(h) @ gray @ _pool_matrix(w).T
+
+
+def _gray(pixels: np.ndarray) -> np.ndarray:
+    """Integer Rec.601-ish luma of an (h, w, 3) uint8 image, as float32."""
+    i16 = pixels.astype(np.uint16)
+    return ((i16[..., 0] * 77 + i16[..., 1] * 151 + i16[..., 2] * 28)
+            >> 8).astype(np.float32)
 
 
 def phash64(pixels: np.ndarray) -> int:
     """64-bit perceptual hash (DCT-based, pHash-style), deterministic.
 
-    Grayscale -> area-resample to 32x32 (cached pooling matrices) ->
-    2D DCT -> top-left 8x8 minus DC -> median threshold -> 64 bits
-    (row-major, signed int64).
+    Grayscale -> area-resample to 32x32 -> 2D DCT -> top-left 8x8
+    minus DC -> median threshold -> 64 bits (row-major, signed int64).
+    Resample and DCT are one cached (8, n) matrix per axis.
     """
-    i16 = pixels.astype(np.uint16)
-    gray = ((i16[..., 0] * 77 + i16[..., 1] * 151 + i16[..., 2] * 28)
-            >> 8).astype(np.float32)  # integer Rec.601-ish luma
-    h, w = gray.shape
-    dct = _pool_matrix(h) @ gray @ _pool_matrix(w).T
-    block = np.ascontiguousarray(dct[:_DCT_K, :_DCT_K]).ravel()
+    block = _dct_block(_gray(pixels)).ravel()
     med = np.median(block[1:])
     val = int(((block > med) * _BIT_WEIGHTS).sum())
     return val - (1 << 64) if val >= (1 << 63) else val
@@ -325,26 +332,18 @@ def phash64_many(pixels_list) -> np.ndarray:
     set to DRAM and is measurably SLOWER), while the fixed-overhead
     tail — median and bit packing, ~27 us of numpy-call overhead per
     image — runs once, vectorized over the whole batch (~2 us/image).
-    This is the kernel for the fused fetch+parse stage's hot loop.
     """
-    n = len(pixels_list)
-    grays = []
-    for px in pixels_list:
-        i16 = px.astype(np.uint16)
-        grays.append(((i16[..., 0] * 77 + i16[..., 1] * 151
-                       + i16[..., 2] * 28) >> 8).astype(np.float32))
-    return phash64_many_from_luma(grays)
+    return phash64_many_from_luma([_gray(px) for px in pixels_list])
 
 
 def phash64_many_from_luma(grays) -> np.ndarray:
     """Batched phash over precomputed (h, w) float32 luma planes (the
-    ``decode_luma`` fast path).  Same bits as ``phash64``."""
+    ``decode_luma`` fast path, and the fused fetch+parse stage's hot
+    loop).  Same bits as ``phash64``."""
     n = len(grays)
     blocks = np.empty((n, _DCT_K * _DCT_K), dtype=np.float32)
     for i, gray in enumerate(grays):
-        h, w = gray.shape
-        dct = _pool_matrix(h) @ gray @ _pool_matrix(w).T
-        blocks[i] = dct[:_DCT_K, :_DCT_K].ravel()
+        blocks[i] = _dct_block(gray).ravel()
     med = np.median(blocks[:, 1:], axis=1)
     vals = ((blocks > med[:, None]).astype(np.uint64)
             * _BIT_WEIGHTS).sum(axis=1)

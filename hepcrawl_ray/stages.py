@@ -38,14 +38,18 @@ RECORD_FIELDS = ("title", "abstract", "authors", "collaborations", "dois",
                  "date_published", "document_type")
 
 
-PAYLOAD_COLS = ("bytes", "w", "h", "fmt", "caption", "phash")
+# the corpus columns the fetch output carries; the fused stage takes
+# all but "bytes" unless its records keep the payloads
+SMALL_PAYLOAD_COLS = ("w", "h", "fmt", "caption", "phash")
+PAYLOAD_COLS = ("bytes",) + SMALL_PAYLOAD_COLS
 
 
 def _fetch_output(batch: pa.Table, image_ids, found: np.ndarray,
-                  taken: pa.Table) -> pa.Table:
+                  taken: pa.Table, names=PAYLOAD_COLS) -> pa.Table:
     """Assemble the fetch-stage output: batch + payload columns
-    (null where not found) + error ROWS for missing keys (reference:
-    error ParsedItem, hepcrawl/utils.py:492-502) — never exceptions."""
+    ``names`` (null where not found) + error ROWS for missing keys
+    (reference: error ParsedItem, hepcrawl/utils.py:492-502) — never
+    exceptions."""
     null_mask = pa.array(~found)
     n = len(image_ids)
     ids = image_ids if isinstance(image_ids, (pa.Array, pa.ChunkedArray)) \
@@ -58,14 +62,72 @@ def _fetch_output(batch: pa.Table, image_ids, found: np.ndarray,
         return pa.compute.if_else(null_mask, pa.nulls(n, c.type), c)
 
     out = batch.append_column("image_id", ids)
-    for name in PAYLOAD_COLS:
+    for name in names:
         out = out.append_column(name, col(name))
     error = pa.array([None if ok else FETCH_ERROR_NOT_FOUND for ok in found],
                      type=pa.string())
     return out.append_column("fetch_error", error)
 
 
-class FetchStage:
+def _blob_views(col) -> list:
+    """One ``'B'`` memoryview per row of a binary column (``None`` where
+    null), each a slice of the column's own Arrow data buffer: no copy,
+    and no concatenation of a chunked column.  The cast matters:
+    ``memoryview(pa.Buffer)`` has format ``'b'``, which compares
+    unequal to any ``bytes`` holding a byte >= 0x80, so a PNG signature
+    check on it always fails.  ``col`` is ``binary`` or
+    ``large_binary``."""
+    chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
+    views = []
+    for c in chunks:
+        if not len(c):
+            continue
+        _, offsets, data = c.buffers()
+        odt = np.int64 if pa.types.is_large_binary(c.type) else np.int32
+        o = np.frombuffer(offsets, dtype=odt)[
+            c.offset:c.offset + len(c) + 1].tolist()
+        mv = memoryview(data if data is not None else b"").cast("B")
+        part = [mv[a:b] for a, b in zip(o, o[1:])]
+        if c.null_count:
+            part = [v if ok else None for v, ok in
+                    zip(part, c.is_valid().to_numpy(zero_copy_only=False))]
+        views += part
+    return views
+
+
+class _CorpusLookup:
+    """What both fetch stages share.  A subclass's ``lookup(batch)``
+    returns ``(image ids, found mask, rows)``: ``rows`` index the table
+    the stage holds in ``self.table`` (-1 where not found)."""
+
+    def _hold(self, table: pa.Table, index) -> None:
+        self.table, self.index = table, index
+        self._views = None          # blob views of self.table, on demand
+
+    def take(self, found: np.ndarray, rows: np.ndarray,
+             names=PAYLOAD_COLS) -> pa.Table:
+        """Columns ``names`` of the found rows (null elsewhere), in one
+        ``take``."""
+        if not found.any():
+            return pa.table({f.name: pa.nulls(len(found), f.type)
+                             for f in self.schema if f.name in names})
+        return self.table.select(list(names)).take(
+            pa.array(np.where(found, rows, 0)))
+
+    def blobs(self, rows: np.ndarray) -> list:
+        """Each row's payload as a view of ``self.table``'s buffers
+        (``None`` where not found or null)."""
+        if self._views is None:
+            self._views = _blob_views(self.table.column("bytes"))
+        v = self._views
+        return [v[r] if r >= 0 else None for r in rows.tolist()]
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        ids, found, rows = self.lookup(batch)
+        return _fetch_output(batch, ids, found, self.take(found, rows))
+
+
+class FetchStage(_CorpusLookup):
     """Resolve admitted URLs to corpus rows via a broadcast index.
 
     SMALL-CORPUS path only (dimension-sized image tables, tests, the
@@ -79,17 +141,14 @@ class FetchStage:
 
         images: pa.Table = ray.get(images_ref) if not isinstance(images_ref, pa.Table) \
             else images_ref
-        self.images = images
+        self.schema = images.schema
         # hash engine built lazily in C on first get_indexer, memoized
-        self.index = pd.Index(images.column("image_id").to_pandas())
+        self._hold(images, pd.Index(images.column("image_id").to_pandas()))
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def lookup(self, batch: pa.Table):
         ids_arr = urlkit.image_ids_of_many(batch.column("url"))
         rows = self.index.get_indexer(ids_arr.to_pandas())
-        found = rows >= 0
-        # gather found rows from the corpus in one take()
-        taken = self.images.take(pa.array(np.where(found, rows, 0)))
-        return _fetch_output(batch, ids_arr, found, taken)
+        return ids_arr, rows >= 0, rows
 
 
 def _corpus_files(corpus_path) -> list:
@@ -105,7 +164,7 @@ def _corpus_files(corpus_path) -> list:
     return [corpus_path]
 
 
-class KeyedFetchStage:
+class KeyedFetchStage(_CorpusLookup):
     """Batched keyed lookup against the STORED corpus — the 100-TB
     fetch shape.  Actors hold O(manifest + a few row groups), never
     the corpus:
@@ -113,7 +172,7 @@ class KeyedFetchStage:
     - ``__init__`` reads ONLY parquet row-group statistics (min/max
       image_id per row group — a few bytes per GB of corpus) into a
       range manifest.
-    - ``__call__`` maps the batch's keys onto candidate row groups via
+    - ``lookup`` maps the batch's keys onto candidate row groups via
       vectorized searchsorteds over a MIN-SORTED manifest (O(batch ×
       log groups) per batch — independent of the manifest size), reads
       JUST those row groups (one IO per group, LRU-cached across
@@ -166,13 +225,13 @@ class KeyedFetchStage:
         self.cache_rowgroups = cache_rowgroups
         self.max_resident_rows = 0
         self.last_candidates_checked = 0
+        self.schema = self.files[0].schema_arrow
         # working-set memo: consecutive batches usually hit the SAME
         # row-group set (key-clustered admissions, or a small corpus
-        # fitting the cache) — reuse the assembled table + hash index
-        # instead of re-concatenating and re-hashing per batch
+        # fitting the cache) — reuse the assembled table, its hash
+        # index and blob views instead of rebuilding them per batch
         self._ws_need: tuple = ()
-        self._ws_corpus: pa.Table | None = None
-        self._ws_index = None  # pandas.Index (engine memoized on it)
+        self._hold(None, None)
 
     def _select_rowgroups(self, su: np.ndarray) -> np.ndarray:
         """Manifest indices of row groups whose [min, max] range
@@ -218,7 +277,7 @@ class KeyedFetchStage:
             self.cache.popitem(last=False)
         return t
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def lookup(self, batch: pa.Table):
         ids_arr = urlkit.image_ids_of_many(batch.column("url"))
         n = len(ids_arr)
         if n == 0:
@@ -228,28 +287,23 @@ class KeyedFetchStage:
                            .astype(np.str_))
             need = self._select_rowgroups(su)
         if not need.size:
-            sch = self.files[0].schema_arrow
-            taken = pa.table({f.name: pa.nulls(n, f.type) for f in sch})
-            return _fetch_output(batch, ids_arr, np.zeros(n, bool), taken)
+            return ids_arr, np.zeros(n, bool), np.full(n, -1, np.int64)
         need_key = tuple(need.tolist())
-        if need_key != self._ws_need or self._ws_corpus is None:
+        if need_key != self._ws_need or self.table is None:
             import pandas as pd
 
             corpus = pa.concat_tables([self._rowgroup(j) for j in need])
             self._ws_need = need_key
-            self._ws_corpus = corpus
             # pandas Index: hash engine built once (lazily, in C) per
             # working set, probed per batch with get_indexer
-            self._ws_index = pd.Index(corpus.column("image_id").to_pandas())
+            self._hold(corpus,
+                       pd.Index(corpus.column("image_id").to_pandas()))
             resident = corpus.num_rows + sum(
                 t.num_rows for k, t in self.cache.items()
                 if k not in {self.rg_loc[j] for j in need})
             self.max_resident_rows = max(self.max_resident_rows, resident)
-        corpus, index = self._ws_corpus, self._ws_index
-        rows = index.get_indexer(ids_arr.to_pandas())
-        found = rows >= 0
-        taken = corpus.take(pa.array(np.where(found, rows, 0)))
-        return _fetch_output(batch, ids_arr, found, taken)
+        rows = self.index.get_indexer(ids_arr.to_pandas())
+        return ids_arr, rows >= 0, rows
 
 
 class FetchParseStage:
@@ -260,6 +314,13 @@ class FetchParseStage:
     between stages — at 4M URLs that hop alone is ~7 GB.  It is the
     only fetch+parse pipeline shape (pipelines.crawl.fetch_and_parse);
     the fetch and parse stages it composes stay separate classes.
+
+    The fetch stage's ``take`` gathers only the small payload columns
+    (plus ``bytes`` when the records keep it); the verify loop reads
+    each payload as a view of the corpus' own Arrow buffers
+    (``_CorpusLookup.blobs``).  Arrow ``take`` on a chunked binary
+    column concatenates every chunk, the whole keyed working set, per
+    batch.  Records equal ``ParseStage(fetch(batch))`` row for row.
     """
 
     def __init__(self, images_ref, verify_pixels: bool = True,
@@ -273,7 +334,12 @@ class FetchParseStage:
                                 drop_bytes=drop_bytes)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        return self.parse(self.fetch(batch))
+        ids, found, rows = self.fetch.lookup(batch)
+        names = SMALL_PAYLOAD_COLS if self.parse.drop_bytes else PAYLOAD_COLS
+        fetched = _fetch_output(batch, ids, found,
+                                self.fetch.take(found, rows, names), names)
+        blobs = self.fetch.blobs(rows) if self.parse.verify_pixels else None
+        return self.parse.records(fetched, blobs)
 
     @staticmethod
     def output_schema(images, drop_bytes: bool = False) -> pa.Schema:
@@ -300,6 +366,19 @@ class ParseStage:
         self.drop_bytes = drop_bytes
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        blobs = batch.column("bytes").to_pylist() \
+            if self.verify_pixels else None
+        out = self.records(batch, blobs)
+        # bytes are consumed here (decode+verify); the records table
+        # downstream carries parse + verify columns only — re-shipping
+        # multi-KB blobs through every later stage would double the
+        # object-store traffic for no reader
+        return out.drop_columns(["bytes"]) if self.drop_bytes else out
+
+    def records(self, batch: pa.Table, blobs) -> pa.Table:
+        """``batch`` (fetch output, with or without ``bytes``) plus the
+        record columns; ``blobs`` holds each row's payload (any byte
+        buffer, ``None`` where missing) when ``verify_pixels``."""
         import pyarrow.compute as pc
 
         # fetch-error rows blank their caption: the batch parser then
@@ -322,7 +401,6 @@ class ParseStage:
         verify_ok = np.ones(n_rows, dtype=bool)
         phash_decoded = np.zeros(n_rows, dtype=np.int64)
         if self.verify_pixels:
-            blobs = batch.column("bytes").to_pylist()
             fmts = batch.column("fmt").to_pylist()
             ws = batch.column("w").to_pylist()
             hs = batch.column("h").to_pylist()
@@ -348,11 +426,7 @@ class ParseStage:
                 phash_decoded[np.asarray(decoded_idx)] = \
                     codecs.phash64_many_from_luma(decoded_lum)
 
-        # bytes are consumed here (decode+verify); the records table
-        # downstream carries parse + verify columns only — re-shipping
-        # multi-KB blobs through every later stage would double the
-        # object-store traffic for no reader
-        out = batch.drop_columns(["bytes"]) if self.drop_bytes else batch
+        out = batch
         for name in RECORD_FIELDS + ("error",):
             out = out.append_column(name, parsed[name])
         out = out.append_column("pixels_verified", pa.array(verify_ok))
