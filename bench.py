@@ -390,6 +390,7 @@ def main():
         "crawl_reps_urls_per_sec": [r["urls_per_sec"] for r in reps],
         "loadavg_start": load_start,
         "loadavg_end": load_end,
+        "inflate": inflate_backend(),
     }
     if iterative is not None:
         out["iterative_sec"] = iterative["sec"]
@@ -405,15 +406,24 @@ def main():
     ray.shutdown()
 
 
+def inflate_backend() -> str:
+    """The payload inflate this host decodes with ("libdeflate" or
+    "zlib"), which sets most of the decode cost."""
+    from hepcrawl_ray import codecs
+
+    return codecs.INFLATE_BACKEND
+
+
 def box_state() -> dict:
-    """The machine a scaling pair ran on: logical CPUs, RAM, load."""
+    """The machine a scaling pair ran on: logical CPUs, RAM, load, and
+    the payload inflate."""
     try:
         with open("/proc/meminfo") as f:
             mem_kb = int(f.readline().split()[1])
     except (OSError, ValueError, IndexError):  # non-Linux fallback
         mem_kb = -1
     return {"logical_cpus": os.cpu_count(), "mem_gb": round(mem_kb / 2**20, 1),
-            "loadavg_1m": loadavg_1m()}
+            "loadavg_1m": loadavg_1m(), "inflate": inflate_backend()}
 
 
 def scaling(levels=(8, 32)):

@@ -163,7 +163,8 @@ def cmd_verify(args) -> int:
     import duckdb
     import pandas as pd
 
-    from hepcrawl_ray.pipelines.queries import ORACLE_SQL, QUERIES
+    from hepcrawl_ray.pipelines.queries import (ORACLE_SQL, QUERIES,
+                                                normalize_result)
 
     names = sorted(ORACLE_SQL) if args.name == "all" else [args.name]
     if args.name != "all" and args.name not in ORACLE_SQL:
@@ -171,17 +172,6 @@ def cmd_verify(args) -> int:
                 if args.name in QUERIES else "— see `list`")
         print(f"cannot verify {args.name!r}: {hint}", file=sys.stderr)
         return 2
-
-    def normalize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.reindex(sorted(df.columns), axis=1)
-        for c in df.columns:
-            if df[c].dtype == object:
-                df[c] = df[c].where(pd.notna(df[c]), None).astype(str)
-        df = df.sort_values(list(df.columns)).reset_index(drop=True)
-        for c in df.columns:
-            if pd.api.types.is_integer_dtype(df[c]):
-                df[c] = df[c].astype("int64")
-        return df
 
     owned = _ensure_ray(args.num_cpus)
     con = duckdb.connect()
@@ -199,9 +189,9 @@ def cmd_verify(args) -> int:
         for name in names:
             t0 = time.monotonic()
             try:
-                got = normalize(_to_table(
+                got = normalize_result(_to_table(
                     QUERIES[name](args.sf_dir)).to_pandas())
-                want = normalize(con.sql(ORACLE_SQL[name]).df())
+                want = normalize_result(con.sql(ORACLE_SQL[name]).df())
                 ok_rows = len(got) == len(want)
                 ok_cols = list(got.columns) == list(want.columns)
                 ok_vals = ok_rows and ok_cols and got.equals(want)
@@ -240,6 +230,7 @@ def cmd_verify(args) -> int:
 def cmd_crawl(args) -> int:
     owned = _ensure_ray(args.num_cpus)
     try:
+        from hepcrawl_ray import codecs
         from hepcrawl_ray.pipelines.queries import _crawl_tables
         from hepcrawl_ray.pipelines.sink import (read_output,
                                                  run_resumable_crawl)
@@ -257,7 +248,8 @@ def cmd_crawl(args) -> int:
         n = read_output(args.out).count()
         print(json.dumps({"records": int(n), "sec": round(dt, 3),
                           "partitions": sorted(manifest["partitions"]),
-                          "out": args.out}))
+                          "out": args.out,
+                          "inflate": codecs.INFLATE_BACKEND}))
     finally:
         if owned:
             import ray

@@ -9,8 +9,10 @@ decoded-pixel equality (exact for lossless, PSNR >= 40 dB for lossy)
 Two formats:
 
 - ``png`` — a real, self-contained PNG codec (8-bit RGB, all five
-  scanline filters on decode, filter-0 on encode) built on stdlib
-  ``zlib`` + numpy.  Lossless: decode(encode(x)) == x exactly.
+  scanline filters on decode, filter-0 on encode) built on numpy,
+  stdlib ``zlib`` to deflate and the system libdeflate to inflate
+  (``_inflate``; stdlib ``zlib`` when libdeflate does not load).
+  Lossless: decode(encode(x)) == x exactly.
 - ``jpeg`` — **a deterministic stand-in for a lossy codec**: uniform
   quantization (step 4) + zlib, in a tagged container.  Real JPEG
   libraries are not available in this environment; this codec is
@@ -20,14 +22,116 @@ Two formats:
   JPEG codec by replacing ``encode_lossy``/``decode_lossy``.
 
 All functions operate on ``(h, w, 3) uint8`` numpy arrays.
+
+Every payload inflate goes through ``_inflate(z, n)``, which knows the
+output size ``n`` from the header already parsed.  ``INFLATE_BACKEND``
+names the inflate in use in this process: ``"libdeflate"`` or
+``"zlib"``.
 """
 
 from __future__ import annotations
 
 import struct
+import threading
 import zlib
 
 import numpy as np
+
+# ------------------------------------------------------------ inflate ----
+#
+# libdeflate inflates a whole zlib stream into an output buffer of a
+# size the caller knows, ~1.7x faster than zlib.decompress on the
+# corpus' streams (71 vs 123 us/img).  It is the system library
+# (libdeflate.so.0), loaded with ctypes on the first inflate in each
+# process, so a process that never decodes never loads it.  Where it
+# does not load, stdlib zlib is the fallback.
+
+# Deflate expands at most 1032:1 (a 258-byte match in two bits), and
+# a zlib stream's header and checksum inflate to nothing, so a stream
+# of k bytes holds at most 1032 k.  A declared size above that is a
+# forged header, refused before any allocation.
+_DEFLATE_MAX_RATIO = 1032
+
+_LIBDEFLATE_ERRORS = {1: "bad data", 2: "short output",
+                      3: "insufficient space"}
+
+_lib = None  # libdeflate's CDLL once loaded; False if it did not load
+_tls = threading.local()  # a decompressor must not be shared by threads
+
+
+def _load_inflate() -> None:
+    global _lib, INFLATE_BACKEND
+    try:
+        import ctypes
+
+        lib = ctypes.CDLL("libdeflate.so.0")
+        lib.libdeflate_alloc_decompressor.restype = ctypes.c_void_p
+        lib.libdeflate_alloc_decompressor.argtypes = []
+        lib.libdeflate_free_decompressor.restype = None
+        lib.libdeflate_free_decompressor.argtypes = [ctypes.c_void_p]
+        lib.libdeflate_zlib_decompress.restype = ctypes.c_int
+        lib.libdeflate_zlib_decompress.argtypes = [
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t,
+            ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p]
+        _lib = lib
+    except (OSError, AttributeError):
+        _lib = False
+    INFLATE_BACKEND = "libdeflate" if _lib else "zlib"
+
+
+def __getattr__(name):
+    # INFLATE_BACKEND is known once the library has been tried
+    if name == "INFLATE_BACKEND":
+        _load_inflate()
+        return INFLATE_BACKEND
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class _Decompressor:
+    """A libdeflate decompressor, freed with the thread that owns it."""
+
+    def __init__(self, lib):
+        self.lib, self.ptr = lib, lib.libdeflate_alloc_decompressor()
+        if not self.ptr:
+            raise MemoryError("libdeflate_alloc_decompressor")
+
+    def __del__(self):
+        self.lib.libdeflate_free_decompressor(self.ptr)
+
+
+def _inflate(z, n: int) -> np.ndarray:
+    """Inflate the zlib stream ``z`` (any byte buffer, read-only views
+    too) into exactly ``n`` bytes, as a uint8 array.  Bytes after the
+    end of the stream are ignored.  Raises ``ValueError`` if the stream
+    is corrupt or does not hold exactly ``n`` bytes, and for an ``n``
+    no stream of ``len(z)`` bytes can hold."""
+    src = np.frombuffer(z, dtype=np.uint8)
+    if n > _DEFLATE_MAX_RATIO * src.size:
+        raise ValueError(f"declared size {n} exceeds what a {src.size}-byte "
+                         "deflate stream can hold")
+    if _lib is None:
+        _load_inflate()
+    if not _lib:
+        try:
+            out = zlib.decompress(z)
+        except zlib.error as e:
+            raise ValueError(f"bad zlib stream: {e}") from None
+        if len(out) != n:
+            raise ValueError(f"inflated {len(out)} bytes, header says {n}")
+        return np.frombuffer(out, dtype=np.uint8)
+    d = getattr(_tls, "d", None)
+    if d is None:
+        d = _tls.d = _Decompressor(_lib)
+    out = np.empty(n, dtype=np.uint8)
+    # buffers go by address (ctypes' from_buffer rejects read-only
+    # ones); a NULL actual_out makes any size but exactly n an error
+    r = _lib.libdeflate_zlib_decompress(
+        d.ptr, src.__array_interface__["data"][0], src.size,
+        out.__array_interface__["data"][0], n, None)
+    if r:
+        raise ValueError(f"libdeflate: {_LIBDEFLATE_ERRORS.get(r, r)}")
+    return out
+
 
 # ---------------------------------------------------------------- PNG ----
 
@@ -79,9 +183,10 @@ def _png_rows(data) -> tuple[np.ndarray, int, int]:
             break
     if w is None or h is None:
         raise ValueError("missing IHDR")
+    if not w or not h:
+        raise ValueError("zero image dimension")
     z = idat[0] if len(idat) == 1 else b"".join(idat)
-    raw = np.frombuffer(zlib.decompress(z), dtype=np.uint8)
-    return raw.reshape(h, 1 + w * 3), w, h
+    return _inflate(z, h * (1 + 3 * w)).reshape(h, 1 + w * 3), w, h
 
 
 def _unfilter(raw: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -152,11 +257,20 @@ def encode_lossy(pixels: np.ndarray, step: int = _QNT_STEP) -> bytes:
     return _QNT_MAGIC + struct.pack(">IIB", w, h, step) + payload
 
 
-def decode_lossy(data) -> np.ndarray:
+def _qnt_rows(data) -> tuple[np.ndarray, int, int, int]:
+    """Parse a QNT header and inflate its payload once: ``(q h*w*3
+    uint8 quantized samples, w, h, step)``.  ``data`` is any byte
+    buffer."""
     if data[:4] != _QNT_MAGIC:
         raise ValueError("not a QNT payload")
     w, h, step = struct.unpack(">IIB", data[4:13])
-    q = np.frombuffer(zlib.decompress(data[13:]), dtype=np.uint8)
+    if not w or not h:
+        raise ValueError("zero image dimension")
+    return _inflate(data[13:], h * w * 3), w, h, step
+
+
+def decode_lossy(data) -> np.ndarray:
+    q, w, h, step = _qnt_rows(data)
     # dequantize as min(q*step, 255), the map decode_luma computes in
     # float32; a numpy LUT gather (lut[q]) is ~3x slower on a 72-px
     # image than this uint16 arithmetic
@@ -216,11 +330,8 @@ def decode_luma(data, fmt: str) -> tuple[np.ndarray, int, int]:
     arithmetic.  Integer-identical to ``phash-luma(decode(data, fmt))``.
     """
     if fmt == "jpeg":
-        if data[:4] != _QNT_MAGIC:
-            raise ValueError("not a QNT payload")
-        w, h, step = struct.unpack(">IIB", data[4:13])
-        q = np.frombuffer(zlib.decompress(data[13:]), dtype=np.uint8)
-        return _luma_from_rgb_bytes(q, h, w, int(step)), w, h
+        q, w, h, step = _qnt_rows(data)
+        return _luma_from_rgb_bytes(q, h, w, step), w, h
     if fmt == "png":
         raw, w, h = _png_rows(data)
         return _luma_from_rgb_bytes(_unfilter(raw, h, w), h, w, None), w, h

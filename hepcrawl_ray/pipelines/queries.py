@@ -920,6 +920,24 @@ def q_multimodal_image_verify(sf_dir: str):
 # registry + oracles
 # ---------------------------------------------------------------------------
 
+def normalize_result(df: pd.DataFrame) -> pd.DataFrame:
+    """A query result or an oracle's, in the one form both are compared
+    in (``verify`` CLI, the oracle mirror test): columns sorted by
+    name, missing object values as the string ``"None"``, rows sorted,
+    integer columns widened to int64."""
+    df = df.reindex(sorted(df.columns), axis=1)
+    for c in df.columns:
+        if df[c].dtype == object:
+            # canonicalize missing first: engine-side NaN and
+            # oracle-side None both stringify as "None"
+            df[c] = df[c].where(pd.notna(df[c]), None).astype(str)
+    df = df.sort_values(list(df.columns)).reset_index(drop=True)
+    for c in df.columns:
+        if pd.api.types.is_integer_dtype(df[c]):
+            df[c] = df[c].astype("int64")
+    return df
+
+
 QUERIES = {
     "filter_event_types": q_filter_event_types,
     "filter_docs_lang": q_filter_docs_lang,

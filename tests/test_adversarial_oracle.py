@@ -14,7 +14,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from tests.test_queries_oracle import normalize, to_pandas
+from hepcrawl_ray.pipelines.queries import normalize_result
+from tests.test_queries_oracle import to_pandas
 
 US = 1_000_000
 DAY = 86_400_000_000
@@ -526,8 +527,8 @@ def _rows_only_names():
 def test_adversarial_rows_only_deterministic(ray_session, adv_dir,
                                              name):
     q = _registry().queries()[name]
-    a = normalize(to_pandas(q(adv_dir)))
-    b = normalize(to_pandas(q(adv_dir)))
+    a = normalize_result(to_pandas(q(adv_dir)))
+    b = normalize_result(to_pandas(q(adv_dir)))
     assert a.shape[1] > 0, name
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
@@ -539,8 +540,8 @@ def test_adversarial_matches_oracle(ray_session, adv_dir, adv_duck,
 
     q = entry_mod.queries()[name]
     sql = entry_mod.oracle_sql()[name]
-    got = normalize(to_pandas(q(adv_dir)))
-    want = normalize(adv_duck.execute(sql).df())
+    got = normalize_result(to_pandas(q(adv_dir)))
+    want = normalize_result(adv_duck.execute(sql).df())
     if len(want) == 0:
         # legitimately empty on this fixture (e.g. a triangle-free
         # edge graph): the engine must agree AND keep its schema

@@ -44,6 +44,7 @@ def test_crawl_resume_skips_finished(ray_session, tmp_path, capsys):
                  "--partitions", "2"]) == 0
     first = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert first["records"] > 0
+    assert first["inflate"] in ("libdeflate", "zlib")
     files_before = sorted(
         os.path.join(r, f) for r, _, fs in os.walk(out_dir) for f in fs)
     mtimes = {f: os.path.getmtime(f) for f in files_before}

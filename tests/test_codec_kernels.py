@@ -9,6 +9,9 @@
   reference kept here (the hash's original definition: resample to
   32x32, full DCT, read the 8x8 corner) give the same bits.  Constant
   images put ties at the median.
+
+Every check runs under both payload inflates: libdeflate, and the
+zlib fallback (the ``...Zlib`` classes).
 """
 
 import struct
@@ -18,6 +21,8 @@ import numpy as np
 import pytest
 
 from hepcrawl_ray import codecs
+
+pytestmark = pytest.mark.usefixtures("inflate_backend")
 
 SIZES = (8, 9, 13, 16, 31, 32, 33, 48, 63, 64, 72, 95, 96, 127, 128, 160)
 
@@ -168,3 +173,11 @@ class TestKernelSweep:
         ref = [reference_phash(px) for px in decoded]
         assert single == batched == ref
         assert codecs.phash64_many(decoded).tolist() == ref
+
+
+class TestFilteredPngZlib(TestFilteredPng):
+    INFLATE = "zlib"
+
+
+class TestKernelSweepZlib(TestKernelSweep):
+    INFLATE = "zlib"

@@ -19,7 +19,8 @@ import pyarrow.parquet as pq
 import pytest
 
 import __ray_entry__ as entry_mod
-from tests.test_queries_oracle import normalize, to_pandas
+from hepcrawl_ray.pipelines.queries import normalize_result
+from tests.test_queries_oracle import to_pandas
 
 _REAL_SF = "/root/testdata/sf0.001"
 _TABLES = ("region", "nation", "customer", "supplier", "part",
@@ -52,8 +53,8 @@ SQL_QUERIES = sorted(entry_mod.oracle_sql())
 def test_empty_input_matches_oracle(ray_session, empty_dir, empty_duck,
                                     name):
     q = entry_mod.queries()[name]
-    got = normalize(to_pandas(q(empty_dir)))
-    want = normalize(empty_duck.sql(entry_mod.oracle_sql()[name]).df())
+    got = normalize_result(to_pandas(q(empty_dir)))
+    want = normalize_result(empty_duck.sql(entry_mod.oracle_sql()[name]).df())
     assert list(got.columns) == list(want.columns), \
         f"{name}: columns {list(got.columns)} != {list(want.columns)}"
     assert len(got) == len(want), \

@@ -7,7 +7,8 @@ must give the same records, for a stored corpus (keyed row-group
 lookup, working sets that change between batches) and an in-memory
 one, with ``drop_bytes`` either way, over missing keys, null and
 corrupt payloads, chunks with a nonzero offset and ``large_binary``
-payloads.
+payloads.  Every check runs under both payload inflates: libdeflate,
+and the zlib fallback (``TestZlibFallback``).
 """
 
 import numpy as np
@@ -19,6 +20,8 @@ import pytest
 from hepcrawl_ray import codecs, synth
 from hepcrawl_ray.stages import (FetchParseStage, FetchStage,
                                  KeyedFetchStage, ParseStage, _blob_views)
+
+pytestmark = pytest.mark.usefixtures("inflate_backend")
 
 N_IMAGES = 96
 
@@ -152,3 +155,11 @@ def test_views_are_unsigned_bytes(images):
     rec = FetchParseStage(images, True, True)(
         _batch([images.column("image_id")[png].as_py()]))
     assert rec.column("pixels_verified").to_pylist() == [True]
+
+
+class TestZlibFallback:
+    INFLATE = "zlib"
+    test_in_memory_corpus = staticmethod(test_in_memory_corpus)
+    test_stored_corpus = staticmethod(test_stored_corpus)
+    test_views_are_unsigned_bytes = staticmethod(
+        test_views_are_unsigned_bytes)

@@ -10,6 +10,7 @@ import pandas as pd
 import pytest
 
 import __ray_entry__ as entry_mod
+from hepcrawl_ray.pipelines.queries import normalize_result
 
 SF_DIR = os.environ.get("ORACLE_SF_DIR", "/root/testdata/sf0.001")
 TABLES = ("region nation customer supplier part orders lineitem events "
@@ -55,21 +56,6 @@ def to_pandas(result) -> pd.DataFrame:
     return result
 
 
-def normalize(df: pd.DataFrame) -> pd.DataFrame:
-    df = df.reindex(sorted(df.columns), axis=1)
-    for c in df.columns:
-        if df[c].dtype == object:
-            # canonicalize missing first: engine-side NaN and
-            # oracle-side None both stringify as "None"
-            df[c] = df[c].where(pd.notna(df[c]), None).astype(str)
-    df = df.sort_values(list(df.columns)).reset_index(drop=True)
-    # unify integer widths
-    for c in df.columns:
-        if pd.api.types.is_integer_dtype(df[c]):
-            df[c] = df[c].astype("int64")
-    return df
-
-
 SQL_QUERIES = sorted(entry_mod.oracle_sql())
 ALL_QUERIES = sorted(entry_mod.queries())
 
@@ -77,8 +63,8 @@ ALL_QUERIES = sorted(entry_mod.queries())
 @pytest.mark.parametrize("name", SQL_QUERIES)
 def test_query_matches_oracle(ray_session, duck, name):
     q = entry_mod.queries()[name]
-    got = normalize(to_pandas(q(SF_DIR)))
-    want = normalize(duck.sql(entry_mod.oracle_sql()[name]).df())
+    got = normalize_result(to_pandas(q(SF_DIR)))
+    want = normalize_result(duck.sql(entry_mod.oracle_sql()[name]).df())
     assert list(got.columns) == list(want.columns), \
         f"{name}: columns {list(got.columns)} != {list(want.columns)}"
     assert len(got) == len(want), f"{name}: rows {len(got)} != {len(want)}"
