@@ -231,13 +231,13 @@ def cmd_crawl(args) -> int:
     owned = _ensure_ray(args.num_cpus)
     try:
         from hepcrawl_ray import codecs
+        from hepcrawl_ray.pipelines.crawl import run_crawl
         from hepcrawl_ray.pipelines.queries import _crawl_tables
-        from hepcrawl_ray.pipelines.sink import (read_output,
-                                                 run_resumable_crawl)
+        from hepcrawl_ray.pipelines.sink import read_manifest
 
         images, _, seeds, politeness = _crawl_tables(args.sf_dir)
         t0 = time.monotonic()
-        manifest = run_resumable_crawl(
+        out = run_crawl(
             images, seeds, politeness,
             output_dir=args.out,
             checkpoint_dir=args.checkpoint or (args.out + ".ckpt"),
@@ -245,9 +245,10 @@ def cmd_crawl(args) -> int:
             fetch_concurrency=args.fetch_concurrency,
             parse_concurrency=args.parse_concurrency)
         dt = time.monotonic() - t0
-        n = read_output(args.out).count()
+        n = out["records"].count() if out["records"] is not None else 0
+        partitions = read_manifest(args.out)["partitions"]
         print(json.dumps({"records": int(n), "sec": round(dt, 3),
-                          "partitions": sorted(manifest["partitions"]),
+                          "partitions": sorted(partitions),
                           "out": args.out,
                           "inflate": codecs.INFLATE_BACKEND}))
     finally:
@@ -305,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "frontier -> fetch+parse -> parquet)")
     s.add_argument("--sf-dir", default="/root/testdata/sf0.001")
     s.add_argument("--out", required=True,
-                   help="partitioned parquet output dir (manifest "
-                        "makes re-runs resume)")
+                   help="chunked parquet output dir (manifest makes "
+                        "re-runs resume)")
     s.add_argument("--checkpoint", default=None,
                    help="frontier checkpoint dir (default: <out>.ckpt)")
     s.add_argument("--partitions", type=int, default=4)

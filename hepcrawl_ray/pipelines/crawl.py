@@ -25,9 +25,9 @@ Scale notes (design for 256 nodes / 100 TB, tested single-node):
 - Frontier partitions, routers and fetch+parse workers outlive a
   crawl: the next crawl in the same Ray session resets and reuses them
   instead of paying actor start-up again (``_WarmActors``).
-- Output is written as partitioned Parquet under ``output_dir`` so a
-  rerun can skip finished partitions; frontier state checkpoints under
-  ``checkpoint_dir`` (exact resume, see tests/test_frontier.py).
+- With ``output_dir`` the fetch+parse actors write the records as
+  resumable chunk files (``pipelines.sink``), never into the object
+  store; the frontier checkpoints under ``checkpoint_dir``.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from hepcrawl_ray.frontier import ADMIT_SCHEMA, FrontierPartition
+from hepcrawl_ray.pipelines import sink
 from hepcrawl_ray.stages import (DiscoverRouteStage, FetchParseStage,
-                                 _corpus_files)
+                                 _corpus_files, batch_discover)
 
 
 # CPU share of every actor that can outlive a crawl (_WarmActors).
@@ -230,14 +231,14 @@ def release_frontier(actors, discover_workers=(), pool=()):
 
 
 def acquire_routers(num_partitions, salted_hosts=None, seeds=None,
-                    discover_fn=None, discover_batch_fn=None):
+                    discover_batch_fn=None):
     """The router actors (``_DiscoverWorker``) of a crawl over
     ``num_partitions`` frontier partitions, which canonicalize and
     route its seeds and an iterative crawl's links: the idle ones, up
     to ``N_DISCOVER_WORKERS``, and new ones up to that many or to one
     per piece of ``seeds``, since in a one-crawl session every actor
     start delays the offer.  Release them with the frontier."""
-    args = (discover_fn, num_partitions, salted_hosts, discover_batch_fn)
+    args = (num_partitions, salted_hosts, discover_batch_fn)
     need = None if seeds is None else len(_seed_pieces(seeds))
     return _WARM.acquire(_DiscoverWorker, [(args, {})] * N_DISCOVER_WORKERS,
                          at_least=need)
@@ -303,11 +304,9 @@ def drain_admissions_chunked(actors, target_rows=1 << 18, seal=False):
     as its own object-store block; the union over chunks is EXACTLY
     the full-drain schedule (each queue's closed form continues from
     its virtual clock).  ``seal`` must be False (seal first); the
-    keyword stays only so callers that pass it keep working.
-
-    The tables are never fetched to the driver: each actor returns a
-    chunk's row count and byte size beside it, and
-    :func:`admissions_dataset` builds the Dataset from those.
+    keyword stays only so callers that pass it keep working.  The
+    tables never reach the driver: :func:`admissions_dataset` builds
+    the Dataset from the row count and byte size beside each chunk.
 
     ``(round, host, pop_idx)`` is NOT unique: a salted host's
     sub-queues each number their pops from 0, so their rows tie on
@@ -376,6 +375,10 @@ class _FetchParseWorker(_Reusable, FetchParseStage):
     def run(self, block: pa.Table, start: int, n: int) -> pa.Table:
         return self(block.slice(start, n))
 
+    def write(self, block: pa.Table, start: int, n: int, path: str) -> int:
+        """``run``'s records written to ``path``; returns their rows."""
+        return sink.write_chunk(self.run(block, start, n), path)
+
 
 def acquire_pool(images, width=4, verify_pixels=True, drop_bytes=False):
     """The fused fetch+parse pool for ``fetch_and_parse(pool=)``:
@@ -394,6 +397,23 @@ def acquire_pool(images, width=4, verify_pixels=True, drop_bytes=False):
         [((images_ref, verify_pixels, drop_bytes), {})] * width)
 
 
+def _assign(admissions_ds, batch_size, pool, load):
+    """Per admissions block, its ``(actor, ref, start, rows, metadata)``
+    slices (:func:`fetch_and_parse`); ``load``: rows per actor so far."""
+    out = []
+    for ref, m in admissions_ds._plan.execute().blocks:
+        # a drain chunk a few rows over batch_size stays one call
+        k = max(1, round(m.num_rows / batch_size))
+        cuts = [m.num_rows * i // k for i in range(k + 1)]
+        out.append([])
+        for s, e in zip(cuts, cuts[1:]):
+            if e > s:
+                a = load.index(min(load))   # the actor with fewest rows
+                load[a] += e - s
+                out[-1].append((pool[a], ref, s, e - s, m))
+    return out
+
+
 def fetch_and_parse(admissions_ds, images, *, fetch_concurrency=4,
                     parse_concurrency=4, batch_size=1024,
                     verify_pixels=True, drop_bytes=False, pool=None):
@@ -404,12 +424,9 @@ def fetch_and_parse(admissions_ds, images, *, fetch_concurrency=4,
     payload bytes never transit the object store between fetch and
     parse, and a few big blocks still keep the whole pool busy.
 
-    ``images`` may be a pyarrow Table (small corpus — broadcast to
-    every fetch actor) or a parquet path/dir (STORED corpus — actors
-    do keyed row-group lookups and hold O(batch) rows, see
-    stages.KeyedFetchStage; this is the only shape that survives a
-    corpus that doesn't fit one worker's heap).
-
+    ``images`` may be a pyarrow Table (small corpus, broadcast to
+    every actor) or a parquet path/dir (STORED corpus: actors do keyed
+    row-group lookups and hold O(batch) rows, stages.KeyedFetchStage).
     ``pool`` comes from :func:`acquire_pool` over the same ``images``,
     ``verify_pixels`` and ``drop_bytes``, and stays the caller's to
     release; without one, one is acquired and released here.
@@ -417,32 +434,23 @@ def fetch_and_parse(admissions_ds, images, *, fetch_concurrency=4,
     Returns at once: the records Dataset is built from the result refs
     and the admissions' row counts (rows are 1:1), so ``count()`` and
     ``schema()`` answer without waiting, and iterating it yields the
-    blocks in admissions order as each one finishes.  Every call is
-    queued when this returns and nothing throttles it by consumption:
-    the records are computed whether or not anyone reads them, and
-    what exceeds the object store spills to disk."""
+    blocks in admissions order.  Every call is queued when this
+    returns, so the records are computed whether or not anyone reads
+    them, and what exceeds the object store spills to disk (see
+    ``run_crawl(output_dir=)``)."""
     own = pool is None
     pool = pool or acquire_pool(images, max(fetch_concurrency,
                                             parse_concurrency),
                                 verify_pixels, drop_bytes)
-    pieces = []
-    for ref, m in admissions_ds._plan.execute().blocks:
-        # a drain chunk a few rows over batch_size stays one call
-        k = max(1, round(m.num_rows / batch_size))
-        cuts = [m.num_rows * i // k for i in range(k + 1)]
-        pieces += [(ref, s, e - s, m) for s, e in zip(cuts, cuts[1:])
-                   if e > s]
-    load, outs = [0] * len(pool), []
-    for ref, s, n, _ in pieces:         # to the actor with fewest rows
-        k = load.index(min(load))
-        load[k] += n
-        outs.append(pool[k].run.remote(ref, s, n))
+    pieces = [p for ps in _assign(admissions_ds, batch_size, pool,
+                                  [0] * len(pool)) for p in ps]
+    outs = [a.run.remote(ref, s, n) for a, ref, s, n, _ in pieces]
     if own:
         _WARM.release([(_FetchParseWorker, pool)], keep_other_kinds=True)
     # size_bytes: the admissions' share (a lower bound, for estimates)
     return admissions_dataset(
         outs, [(n, (m.size_bytes or 0) * n // m.num_rows)
-               for _, _, n, m in pieces],
+               for _, _, _, n, m in pieces],
         FetchParseStage.output_schema(images, drop_bytes))
 
 
@@ -454,45 +462,85 @@ def run_crawl(images, seeds, politeness, *, num_partitions=4,
               spill_dir=None, spill_threshold_rows=None):
     """Full crawl.  Returns dict with the records Dataset and metrics.
 
-    One path: acquire the frontier, its routers and the fetch+parse
-    pool (in the order the crawl needs them: a cold pool starts while
-    the seeds are offered), offer the seeds through the routers, seal
-    once, checkpoint the sealed frontier if ``checkpoint_dir`` is set,
-    then drain admissions in ``batch_size`` chunks
-    (:func:`drain_admissions_chunked`) into the pool
+    Acquire the frontier, its routers and the fetch+parse pool (a cold
+    pool starts while the seeds are offered), offer the seeds through
+    the routers, seal once, checkpoint the sealed frontier if
+    ``checkpoint_dir`` is set, then drain admissions in ``batch_size``
+    chunks (:func:`drain_admissions_chunked`) into the pool
     (:func:`fetch_and_parse`).  All actors are released, not killed,
     so the next crawl in this Ray session starts on warm ones; this
-    returns before the records are computed."""
+    returns before the records are computed.
+
+    With ``output_dir`` the pool writes them as chunk files
+    (:func:`_write_chunks`), and this returns a Dataset over them once
+    all are committed.  A committed crawl there is resumed: the
+    frontier is restored from ``checkpoint_dir`` and drained again,
+    and only what is not committed is written."""
     import ray
 
-    actors = start_frontier(politeness, num_partitions, salted_hosts,
-                            capacity_per_partition=frontier_capacity,
-                            spill_dir=spill_dir,
-                            spill_threshold_rows=spill_threshold_rows)
-    routers = acquire_routers(num_partitions, salted_hosts, seeds)
+    out = None if not output_dir else sink.ChunkOutput(
+        output_dir, checkpoint_dir, num_partitions=num_partitions,
+        batch_size=batch_size, verify_pixels=verify_pixels,
+        drop_bytes=drop_bytes)
+    offered = out.offered if out else None    # set: resume that crawl
+    if offered is None:
+        actors = start_frontier(politeness, num_partitions, salted_hosts,
+                                capacity_per_partition=frontier_capacity,
+                                spill_dir=spill_dir,
+                                spill_threshold_rows=spill_threshold_rows)
+        routers = acquire_routers(num_partitions, salted_hosts, seeds)
+    else:
+        actors, routers = restore_frontier(checkpoint_dir, num_partitions), []
     pool = acquire_pool(images, max(fetch_concurrency, parse_concurrency),
                         verify_pixels, drop_bytes)
     try:
-        offered = offer_seeds(actors, seeds, num_partitions,
-                              salted_hosts=salted_hosts, workers=routers)
-        ray.get([a.seal.remote() for a in actors])
-        if checkpoint_dir:
-            ray.get([a.checkpoint.remote(checkpoint_dir) for a in actors])
-        admissions = drain_admissions_chunked(
-            actors, target_rows=batch_size, seal=False)
-        records = fetch_and_parse(
-            admissions, images, fetch_concurrency=fetch_concurrency,
-            parse_concurrency=parse_concurrency, batch_size=batch_size,
-            verify_pixels=verify_pixels, drop_bytes=drop_bytes, pool=pool)
+        if offered is None:
+            offered = offer_seeds(actors, seeds, num_partitions,
+                                  salted_hosts=salted_hosts, workers=routers)
+            ray.get([a.seal.remote() for a in actors])
+            if checkpoint_dir:
+                ray.get([a.checkpoint.remote(checkpoint_dir)
+                         for a in actors])
+        if out is None:
+            admissions = drain_admissions_chunked(
+                actors, target_rows=batch_size, seal=False)
+            records = fetch_and_parse(admissions, images,
+                                      batch_size=batch_size,
+                                      drop_bytes=drop_bytes, pool=pool)
+        else:
+            # after acquire_pool waited out an earlier crawl's writes
+            out.start(offered)
+            _write_chunks(actors, pool, out, batch_size)
+            records = sink.read_output(output_dir)
         metrics = ray.get([a.get_metrics.remote() for a in actors])
     finally:
         # on an error too: a dead actor is replaced when next acquired
         release_frontier(actors, routers, pool=pool)
-    if output_dir:
-        # 0-CPU write tasks: they only wait on the pool and do IO
-        records.write_parquet(output_dir, ray_remote_args={"num_cpus": 0})
-        records = ray.data.read_parquet(output_dir)
     return {"records": records, "metrics": metrics, "offered": offered}
+
+
+def _write_chunks(actors, pool, out, batch_size):
+    """Drain each partition in ``batch_size`` chunks; the pool writes
+    each slice ``out`` (``sink.ChunkOutput``) has not committed, and
+    the row counts are committed as they come back."""
+    import ray
+
+    load, running = [0] * len(pool), {}
+    for pid, actor in enumerate(actors):
+        blocks = _assign(drain_admissions_chunked([actor], batch_size),
+                         batch_size, pool, load)
+        for c, pieces in enumerate(blocks):
+            for i, (a, ref, start, n, _) in enumerate(pieces):
+                path = out.path(pid, c, i)
+                if path:
+                    running[a.write.remote(ref, start, n, path)] = path
+    out.commit([], complete=not running)
+    while running:
+        # one manifest replace per second at most, and at the end
+        ready, _ = ray.wait(list(running), num_returns=len(running),
+                            timeout=1.0)
+        written = [(running.pop(r), n) for r, n in zip(ready, ray.get(ready))]
+        out.commit(written, complete=not running)
 
 
 # routers (discover workers) per crawl: offer fan-in serializes on the
@@ -507,10 +555,10 @@ class _DiscoverWorker(_Reusable):
     between calls.  Kept by ``_WARM`` across crawls (a plain class, so
     tests can instantiate it directly)."""
 
-    def __init__(self, discover_fn, num_partitions, salted_hosts,
+    def __init__(self, num_partitions, salted_hosts,
                  discover_batch_fn=None):
         self.stage = DiscoverRouteStage(
-            discover_fn, (), num_partitions, salted_hosts,
+            None, (), num_partitions, salted_hosts,
             discover_batch_fn=discover_batch_fn)
 
     def offer(self, seeds):
@@ -537,27 +585,20 @@ def _iter_checkpoint(actors, checkpoint_dir, gen, segments, tables):
     ``tables`` drained since the LAST checkpoint land as one parquet
     segment, and the ``_iter_meta.json`` replace commits the set LAST.
     A crash anywhere leaves the previously committed (meta, gen,
-    segments) triple in effect; torn newer gens and orphan segments
-    are ignored (and overwritten deterministically) on resume, older
-    gens GC'd after the commit.  Reference analog: crawl-once DB +
-    last-run file surviving a killed job (hepcrawl/middlewares.py:
-    101-155, hepcrawl/spiders/common/lastrunstore_spider.py:53-126)."""
+    segments) in effect; torn newer gens and orphan segments are
+    ignored on resume, older gens GC'd after the commit (reference:
+    hepcrawl/spiders/common/lastrunstore_spider.py:53-126)."""
     import ray
 
     gen_dir = os.path.join(checkpoint_dir, f"gen={gen}")
     ray.get([a.checkpoint.remote(gen_dir) for a in actors])
     # a checkpoint follows a non-empty iteration: never an empty segment
-    seg_dir = os.path.join(checkpoint_dir, "admissions")
-    os.makedirs(seg_dir, exist_ok=True)
     segments = segments + [f"seg_{len(segments):05d}.parquet"]
-    tmp = os.path.join(seg_dir, "." + segments[-1] + ".tmp")
-    pq.write_table(pa.concat_tables(tables), tmp)
-    os.replace(tmp, os.path.join(seg_dir, segments[-1]))
-    tmp = os.path.join(checkpoint_dir, "._iter_meta.json.tmp")
-    with open(tmp, "w") as f:
-        json.dump({"gen": gen, "segments": segments,
-                   "num_partitions": len(actors)}, f)
-    os.replace(tmp, os.path.join(checkpoint_dir, "_iter_meta.json"))
+    sink.write_chunk(pa.concat_tables(tables), os.path.join(
+        checkpoint_dir, "admissions", segments[-1]))
+    sink.write_json(os.path.join(checkpoint_dir, "_iter_meta.json"),
+                    {"gen": gen, "segments": segments,
+                     "num_partitions": len(actors)})
     # GC everything the committed meta does not reference (old gens
     # AND stale crash-artifact gens); best-effort
     for d in glob.glob(os.path.join(checkpoint_dir, "gen=*")):
@@ -567,9 +608,7 @@ def _iter_checkpoint(actors, checkpoint_dir, gen, segments, tables):
 
 
 def _iter_restore(checkpoint_dir):
-    """Load the COMMITTED iterative checkpoint (the meta-referenced
-    generation only — torn newer gens are ignored) ->
-    (meta, admissions)."""
+    """(meta, admissions) of the COMMITTED iterative checkpoint."""
     with open(os.path.join(checkpoint_dir, "_iter_meta.json")) as f:
         meta = json.load(f)
     tables = [pq.read_table(os.path.join(checkpoint_dir, "admissions", s))
@@ -593,36 +632,28 @@ def run_iterative_crawl(seeds, politeness, discover_fn, *,
     ``discover_batch_fn(urls, seqs) -> (offer_table, per_row_counts)``
     (optional): the VECTORIZED form of the same contract — one call
     per admitted batch returning an Arrow table with
-    url/priority/seq/mtime/set_id columns.  Use it when link
-    extraction is expressible over columns (it usually is: production
-    extraction runs over parsed batches); the per-row ``discover_fn``
-    stays the executable spec and the two are equivalence-pinned in
-    tests/test_sources_iterative.py.
+    url/priority/seq/mtime/set_id columns, as production extraction
+    over parsed batches does.  Without it the routers run
+    ``discover_fn`` through :func:`stages.batch_discover`; the two are
+    equivalence-pinned in tests/test_sources_iterative.py.
 
-    The crawl's routers (:func:`acquire_routers`) route the seeds,
-    then each iteration's links.  Per iteration the driver queues on
-    every partition a drain, one offer taking as arguments the link
-    slices the routers return for its block (in pieces when routers
-    outnumber partitions), and a seal; an actor runs one caller's
-    calls in order, even when an argument is ready late.  The driver
-    waits only on each drain's ``(rows, bytes, pending)``; admission
-    tables reach it only at a checkpoint and at the end.  Admission
-    is decided over a seq-sorted view at seal, so arrival order
-    cannot change the schedule; the spec is
-    ``sim.simulate_iterative`` (pinned in tests).
+    The crawl's routers route the seeds, then each iteration's links.
+    Per iteration the driver queues on every partition a drain, one
+    offer taking as arguments the link slices the routers return for
+    its block, and a seal; an actor runs one caller's calls in order,
+    even when an argument is ready late.  The driver waits only on each
+    drain's ``(rows, bytes, pending)``; admission tables reach it only
+    at a checkpoint and at the end.  Admission is decided over a
+    seq-sorted view at seal, so arrival order cannot change it.
 
     ``checkpoint_dir`` + ``checkpoint_every=k``: every k iterations,
-    after that iteration's seal (a quiescent point: all of the round's
-    offers are delivered and sealed, no in-flight state anywhere), the
-    frontier partitions snapshot themselves and the admissions emitted
-    since the last checkpoint are committed as a parquet segment
-    (atomic meta-last protocol, :func:`_iter_checkpoint`).
-    ``resume=True`` restores the committed checkpoint and continues —
-    the resumed run's FULL admission schedule (restored segments +
-    post-resume iterations) is EXACTLY the uninterrupted run's,
-    including iterations whose un-checkpointed work the crash threw
-    away (determinism replays them identically); pinned by
-    tests/test_sources_iterative.py.
+    after that iteration's seal (a quiescent point), the partitions
+    snapshot themselves and the admissions since the last checkpoint
+    are committed as a parquet segment (:func:`_iter_checkpoint`).
+    ``resume=True`` continues from the committed checkpoint; the
+    resumed run's FULL admission schedule is EXACTLY the uninterrupted
+    run's, since determinism replays the work the crash threw away
+    (pinned by tests/test_sources_iterative.py).
     """
     import ray
 
@@ -643,9 +674,9 @@ def run_iterative_crawl(seeds, politeness, discover_fn, *,
         actors = start_frontier(politeness, num_partitions, salted_hosts)
         admissions, segments, gen = [], [], 0
     # persistent routers, reused every iteration (lesson 26)
-    workers = acquire_routers(num_partitions, salted_hosts,
-                              discover_fn=discover_fn,
-                              discover_batch_fn=discover_batch_fn)
+    workers = acquire_routers(
+        num_partitions, salted_hosts,
+        discover_batch_fn=discover_batch_fn or batch_discover(discover_fn))
     # k pieces per drained block keep every router busy when P < routers
     k, blocks, queued = -(-len(workers) // num_partitions), [], []
     try:

@@ -15123,11 +15123,12 @@ def q_curriculum_order(sf_dir: str):
 
 
 def q_compact_crawl_output(sf_dir: str):
-    """Small-file compaction lifecycle over the resumable crawl sink
+    """Small-file compaction lifecycle over the resumable crawl output
     (the post-job maintenance step every 100 TB partitioned writer
-    needs — at scale a 4096-partition output whose stages emitted one
-    file per Ray block is millions of KB-sized files).  Runs the
-    flagship crawl into the partitioned parquet sink, compacts with
+    needs — at scale a 4096-partition output written one file per
+    fetch+parse slice is millions of KB-sized files).  Runs the
+    flagship crawl into chunk files (``run_crawl(output_dir=)``, in
+    32-row slices), compacts with
     the manifest-committed parallel merge (pipelines/sink.py
     compact_output: the driver bin-packs file SIZES and commits;
     every bin merge is a Ray task, so row bytes never transit the
@@ -15137,17 +15138,19 @@ def q_compact_crawl_output(sf_dir: str):
     sweeping are pinned in tests/test_resumable_output.py."""
     import tempfile
 
+    from hepcrawl_ray.pipelines import crawl as cp
     from hepcrawl_ray.pipelines import sink
 
     images, _, seeds, politeness = _crawl_tables(sf_dir)
     with tempfile.TemporaryDirectory() as d:
         out_dir = os.path.join(d, "out")
         ckpt_dir = os.path.join(d, "ckpt")
-        manifest = sink.run_resumable_crawl(
+        cp.run_crawl(
             images, seeds, politeness, output_dir=out_dir,
             checkpoint_dir=ckpt_dir, num_partitions=4,
             fetch_concurrency=2, parse_concurrency=2,
-            max_rows_per_file=32)   # force the small-file state
+            batch_size=32)   # force the small-file state
+        manifest = sink.read_manifest(out_dir)
         before = {pid: len(sink._partition_files(out_dir, pid, m))
                   for pid, m in manifest["partitions"].items()}
         sink.compact_output(out_dir, target_bytes=1 << 30)
@@ -15156,8 +15159,8 @@ def q_compact_crawl_output(sf_dir: str):
                  for pid, m in manifest2["partitions"].items()}
         ds = sink.read_output(out_dir)
         rows_after = int(ds.count()) if ds is not None else 0
-    rows_written = {pid: int(m["rows"])
-                    for pid, m in manifest["partitions"].items()}
+    rows_written = {pid: sum(listed.values())
+                    for pid, listed in manifest["partitions"].items()}
     pids = sorted(rows_written, key=int)
     total = sum(rows_written.values())
     return pd.DataFrame({

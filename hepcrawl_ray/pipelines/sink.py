@@ -1,320 +1,219 @@
-"""Resumable partitioned output sink.
+"""Resumable chunked output of a crawl.
 
-The output layout is one directory per frontier partition plus a
-manifest of completed partitions:
+``run_crawl(output_dir=...)`` has each fetch+parse actor write its
+records slice as one parquet file, which the driver commits to a
+manifest listing every committed file and its rows, per partition:
 
-    out/part=3/<ray parquet files>
-    out/_MANIFEST.json   {"partitions": {"3": {"rows": N}}, ...}
+    out/part=3/chunk=000007-001.parquet   partition 3, drain chunk 7,
+                                          slice 1
+    out/_MANIFEST.json   {"num_partitions": 4, "batch_size": 1024,
+                          "verify_pixels": true, "drop_bytes": false,
+                          "offered": N, "complete": true, "partitions":
+                          {"3": {"chunk=000007-001.parquet": rows}}}
 
-A killed job resumes by (a) restoring the frontier from its checkpoint
-(exact state: seen filters, queues, virtual clock — see
-frontier.checkpoint) and (b) skipping partitions already present in
-the manifest — the reference achieves the same with its last-run JSON
-store + processed-bucket move
-(reference: hepcrawl/spiders/common/lastrunstore_spider.py:53-126,
-hepcrawl/spiders/desy_spider.py:139-150,233-242).  Manifest updates
-are atomic (tmp + rename); a partition directory without a manifest
-entry is garbage from a crash and is overwritten on resume.
+A partition's drain is deterministic, so a file holds the same rows in
+every run: a killed crawl resumes by restoring the frontier from its
+checkpoint, draining again and writing only the files not listed
+(the reference: a last-run JSON store + processed-bucket move,
+hepcrawl/spiders/common/lastrunstore_spider.py:53-126,
+desy_spider.py:139-150,233-242).  The manifest is first written once
+the frontier is sealed and checkpointed, so it also commits the
+checkpoint set.  Every file is replaced atomically (tmp + rename); an
+unlisted file under ``part=*`` (a write that missed its commit, a tmp
+file, a half-written compaction bin) is deleted when the next crawl
+or compaction starts.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
-import shutil
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 
-
-def _manifest_path(output_dir: str) -> str:
-    return os.path.join(output_dir, "_MANIFEST.json")
+MANIFEST = "_MANIFEST.json"
 
 
 def read_manifest(output_dir: str) -> dict:
     try:
-        with open(_manifest_path(output_dir)) as f:
+        with open(os.path.join(output_dir, MANIFEST)) as f:
             return json.load(f)
     except FileNotFoundError:
         return {"partitions": {}}
 
 
-def _write_manifest(output_dir: str, manifest: dict) -> None:
-    tmp = _manifest_path(output_dir) + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-    os.replace(tmp, _manifest_path(output_dir))
+def write_json(path: str, obj) -> None:
+    """Replace the JSON file ``path`` atomically (tmp + rename)."""
+    with open(path + ".tmp", "w") as f:
+        json.dump(obj, f, indent=1, sort_keys=True)
+    os.replace(path + ".tmp", path)
 
 
-def run_resumable_crawl(images, seeds, politeness, *, output_dir: str,
-                        checkpoint_dir: str, num_partitions: int = 4,
-                        salted_hosts=None, batch_size: int = 1024,
-                        fetch_concurrency: int = 4, parse_concurrency: int = 4,
-                        fail_after_partitions: int | None = None,
-                        max_rows_per_file: int | None = None):
-    """Crawl with per-partition resumable output.
-
-    ``fail_after_partitions`` injects a crash after N partitions are
-    written (test hook).  ``max_rows_per_file`` caps output file size
-    (passed through to ``write_parquet``; compact_output is the
-    matching post-job merge).  Returns the manifest; call again with
-    the same dirs to resume — finished partitions are skipped
-    untouched.
-    """
-    import ray
-
-    from hepcrawl_ray.pipelines import crawl as cp
-
-    os.makedirs(output_dir, exist_ok=True)
-
-    ckpt_marker = os.path.join(checkpoint_dir, "part=0", "state.pkl")
-    resume = os.path.exists(ckpt_marker)
-    if resume:
-        actors = cp.restore_frontier(checkpoint_dir, num_partitions)
-        routers = []
-    else:
-        actors = cp.start_frontier(politeness, num_partitions, salted_hosts)
-        routers = cp.acquire_routers(num_partitions, salted_hosts, seeds)
-    # one fetch+parse pool for every partition, acquired after the
-    # actors the offer waits on, so a cold pool starts during the offer
-    fetchers = cp.acquire_pool(images, max(fetch_concurrency,
-                                           parse_concurrency))
-    if not resume:
-        cp.offer_seeds(actors, seeds, num_partitions,
-                       salted_hosts=salted_hosts, workers=routers)
-        ray.get([a.seal.remote() for a in actors])
-        ray.get([a.checkpoint.remote(checkpoint_dir) for a in actors])
-
-    manifest = read_manifest(output_dir)
-    done = set(manifest["partitions"])
-    todo = [pid for pid in range(num_partitions) if str(pid) not in done]
-
-    def process(pid: int) -> int:
-        # drain fires when the partition's processing starts, so at
-        # most ~max_workers partitions' admissions are live in the
-        # object store at once; the driver never holds them, only the
-        # row counts and byte sizes.  batch_size chunks spread one
-        # partition over the whole pool, starting one actor further
-        # along per partition
-        ds = cp.drain_admissions_chunked([actors[pid]],
-                                         target_rows=batch_size)
-        n = ds.count()
-        part_dir = os.path.join(output_dir, f"part={pid}")
-        if os.path.exists(part_dir):  # crash leftovers without manifest
-            shutil.rmtree(part_dir)
-        if n:
-            k = pid % len(fetchers)
-            records = cp.fetch_and_parse(ds, images, batch_size=batch_size,
-                                         pool=fetchers[k:] + fetchers[:k])
-            if max_rows_per_file is not None:
-                records.write_parquet(part_dir,
-                                      max_rows_per_file=max_rows_per_file)
-            else:
-                records.write_parquet(part_dir)
-        else:
-            os.makedirs(part_dir, exist_ok=True)
-        return n
-
-    # Pipelined partition processing: a small thread pool overlaps the
-    # per-partition drain+fetch+parse+write pipelines, whose fetch+parse
-    # calls share the one actor pool.  Submission is BOUNDED (one spare
-    # beyond the thread pool), so a simulated crash stops new
-    # partitions immediately — only the <= max_workers in-flight
-    # pipelines run to waste, becoming unmanifested leftovers that
-    # resume cleans up.  All bookkeeping
-    # (manifest, stop) happens on this thread; the manifest stays
-    # per-partition atomic, written in completion order.
-    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-
-    # Ray's write-path resolution does `from fsspec.implementations
-    # .http import HTTPFileSystem` per write and catches only
-    # ModuleNotFoundError (aiohttp is absent here, so the import always
-    # fails).  Failed imports are retried on every call, and two
-    # threads racing through that retry can surface as an *ImportError*
-    # instead, which Ray does not catch.  Make the import succeed
-    # deterministically with a sentinel class (isinstance checks
-    # against it are False, identical to the module-missing branch).
-    try:
-        import fsspec.implementations.http  # noqa: F401
-    except ModuleNotFoundError:
-        import sys as _sys
-        import types as _types
-
-        _mod = _types.ModuleType("fsspec.implementations.http")
-
-        class _NoHTTPFileSystem:
-            """Sentinel: aiohttp/fsspec-http unavailable in this env."""
-
-        _mod.HTTPFileSystem = _NoHTTPFileSystem
-        _sys.modules["fsspec.implementations.http"] = _mod
-
-    avail = ray.cluster_resources().get("CPU", 4)
-    max_workers = max(1, min(8, len(todo) or 1, int(avail // 2)))
-    written = 0
-    stop = False
-    queue = iter(todo)
-    try:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {}
-
-            def submit_next() -> bool:
-                for pid in queue:
-                    futures[pool.submit(process, pid)] = pid
-                    return True
-                return False
-
-            for _ in range(max_workers + 1):
-                if not submit_next():
-                    break
-            consumed = set()
-            while len(consumed) < len(futures):
-                done_f, _ = wait([f for f in futures if f not in consumed],
-                                 return_when=FIRST_COMPLETED)
-                for fut in done_f:
-                    consumed.add(fut)
-                    pid, n = futures[fut], fut.result()
-                    if stop:
-                        continue  # crash already simulated: don't record
-                    manifest["partitions"][str(pid)] = {"rows": n}
-                    _write_manifest(output_dir, manifest)
-                    written += 1
-                    if (fail_after_partitions is not None
-                            and written >= fail_after_partitions):
-                        stop = True  # in-flight work becomes leftovers
-                    else:
-                        submit_next()  # refill the bounded window
-    finally:
-        # hand the actors back, also after a failed partition write:
-        # release resets them, so nothing of this crawl leaks
-        cp.release_frontier(actors, routers, pool=fetchers)
-    return manifest
+def write_chunk(table: pa.Table, path: str) -> int:
+    """Write one parquet file atomically (a tmp file named for this
+    process, then a rename); returns its rows.  The fetch+parse actors
+    write their records with it, outside the object store."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    pq.write_table(table, tmp)
+    os.replace(tmp, path)
+    return table.num_rows
 
 
-def _partition_files(output_dir: str, pid: str, meta: dict) -> list:
-    """Authoritative file list for one finished partition: the
-    manifest's explicit ``files`` entry when compaction has committed
-    one, else every top-level parquet in the partition dir."""
-    import glob
+def _sweep(part_dir: str, listed) -> None:
+    """Delete the files under ``part_dir`` not ``listed`` (relative)."""
+    for root, _, names in os.walk(part_dir):
+        for name in names:
+            path = os.path.join(root, name)
+            if os.path.relpath(path, part_dir) not in listed:
+                os.remove(path)
 
+
+class ChunkOutput:
+    """The driver's side of one crawl's ``output_dir``: the files still
+    to write, and their commit.  Resuming a committed crawl needs its
+    ``checkpoint_dir`` and ``params`` (what decides each file's rows);
+    both are checked here, before the crawl calls any actor."""
+
+    def __init__(self, output_dir: str, checkpoint_dir, **params):
+        self.dir, self.params = output_dir, params
+        self.manifest = read_manifest(output_dir)
+        # the committed crawl's offered rows, or None: nothing to resume
+        self.offered = self.manifest.get("offered")
+        if self.offered is None:
+            return
+        if not checkpoint_dir:
+            raise ValueError(f"{output_dir} holds a committed crawl; "
+                             "resuming it needs its checkpoint_dir")
+        diff = {k: (self.manifest.get(k), v) for k, v in params.items()
+                if self.manifest.get(k) != v}
+        if diff:
+            raise ValueError(f"{output_dir} was written by another "
+                             f"crawl (manifest, call): {diff}")
+
+    def start(self, offered: int) -> None:
+        """Unless a crawl is committed, commit this one, which offered
+        ``offered`` rows (once its frontier is sealed and checkpointed);
+        then delete the files the manifest does not list."""
+        if self.offered is None:
+            self.manifest = dict(
+                self.params, offered=offered, complete=False,
+                partitions={str(p): {}
+                            for p in range(self.params["num_partitions"])})
+            os.makedirs(self.dir, exist_ok=True)
+            write_json(os.path.join(self.dir, MANIFEST), self.manifest)
+        listed = self.manifest["partitions"]
+        for d in glob.glob(os.path.join(self.dir, "part=*")):
+            _sweep(d, listed.get(d.rsplit("=", 1)[1], ()))
+
+    def path(self, pid: int, chunk: int, piece: int):
+        """The file of slice ``piece`` of partition ``pid``'s drain
+        chunk ``chunk``, or ``None`` when it is committed already."""
+        name = f"chunk={chunk:06d}-{piece:03d}.parquet"
+        if self.manifest["complete"] \
+                or name in self.manifest["partitions"][str(pid)]:
+            return None
+        return os.path.join(self.dir, f"part={pid}", name)
+
+    def commit(self, written, complete: bool) -> None:
+        """Commit the ``(path, rows)`` of finished writes, and whether
+        they were the crawl's last, in one manifest replace."""
+        for path, rows in written:
+            part_dir, name = os.path.split(path)
+            pid = part_dir.rsplit("=", 1)[1]
+            self.manifest["partitions"][pid][name] = rows
+        self.manifest["complete"] = complete
+        write_json(os.path.join(self.dir, MANIFEST), self.manifest)
+
+
+def _partition_files(output_dir: str, pid: str, listed: dict) -> list:
+    """The paths of one partition's ``listed`` files, in name order."""
     d = os.path.join(output_dir, f"part={pid}")
-    if "files" in meta:
-        return [os.path.join(d, f) for f in meta["files"]]
-    return sorted(glob.glob(os.path.join(d, "*.parquet")))
+    return [os.path.join(d, f) for f in sorted(listed)]
 
 
 def read_output(output_dir: str):
-    """Dataset over all finished partitions (manifest-listed only)."""
+    """Dataset over every committed file, or ``None`` if there is none."""
     import ray
 
     manifest = read_manifest(output_dir)
-    files = []
-    for pid, meta in sorted(manifest["partitions"].items()):
-        if meta["rows"] > 0:
-            files.extend(_partition_files(output_dir, pid, meta))
-    return ray.data.read_parquet(files) if files else None
+    files = [f for pid, listed in sorted(manifest["partitions"].items(),
+                                         key=lambda kv: int(kv[0]))
+             for f in _partition_files(output_dir, pid, listed)]
+    # partitioning=None: no "part" column parsed from the directories
+    return ray.data.read_parquet(files, partitioning=None) if files \
+        else None
 
 
 def compact_output(output_dir: str,
                    target_bytes: int = 128 * 1024 * 1024) -> dict:
-    """Merge each finished partition's small parquet files into
-    ~``target_bytes`` outputs (the standard post-job small-file
-    compaction every long-running partitioned writer needs: at 100 TB
-    a 4096-partition output whose stages emitted one file per Ray
-    block is millions of KB-sized files, and every later read pays
-    per-file open cost).
+    """Merge each partition's small chunk files into ~``target_bytes``
+    outputs (at 100 TB, one file per fetch+parse slice is millions of
+    KB-sized files, and every later read pays per-file open cost).
 
-    Crash-safe by construction — the MANIFEST is the commit point:
-
-    1. compacted files are written under ``part=N/_compact/`` where
-       the top-level ``*.parquet`` glob can't see them;
-    2. the partition's manifest entry atomically gains
-       ``files: [_compact/...]`` (tmp + rename, like every other
-       manifest update) — readers switch to the compacted set in one
-       step;
-    3. the superseded top-level files are deleted last (a crash
-       between 2 and 3 leaves harmless orphans that the next
-       compaction sweeps).
-
-    Partitions already at or below one target-sized file per group
-    are left untouched.  Idempotent: a second run finds nothing to do.
-    Returns {"partitions_compacted": n, "files_before": b,
-    "files_after": a}.
-
-    Scale shape: the driver only bin-packs FILE SIZES (parquet
-    directory metadata) and commits manifests; every group merge is a
-    Ray task reading and writing its own bin worker-side, so no row
-    bytes ever transit the driver and all partitions' merges run
-    concurrently.  Commits stay ordered per partition AFTER that
-    partition's writes complete, preserving the crash-safety argument
-    above.
+    Crash-safe: merged bins are written under ``part=N/_compact/``;
+    once a partition's bins are durable, its manifest entry switches
+    to them in one atomic replace, and its chunk files are deleted
+    last.  Unlisted files a crash leaves are swept by the next
+    compaction or crawl.  A crawl still being written, and partitions
+    already compacted or at or below one target-sized file per group,
+    are left untouched, so a second run finds nothing to do.  The
+    driver only bin-packs file sizes and commits; each merge is a Ray
+    task, so no row bytes transit the driver.  Returns
+    {"partitions_compacted": n, "files_before": b, "files_after": a}.
     """
-    import glob
-
     import ray
 
     manifest = read_manifest(output_dir)
     n_parts = files_before = files_after = 0
     merge_task = ray.remote(num_cpus=1)(_compact_group)
     # phase 1 — plan on metadata + submit every group merge
-    pending = {}          # pid -> (meta, files, new_names, refs)
-    for pid, meta in sorted(manifest["partitions"].items()):
+    pending = {}          # pid -> (files, new_listed, refs)
+    for pid, listed in sorted(manifest["partitions"].items()):
         part_dir = os.path.join(output_dir, f"part={pid}")
-        comp_dir = os.path.join(part_dir, "_compact")
-        files = _partition_files(output_dir, pid, meta)
-        if "files" in meta:
-            # already compacted (one-shot per partition): only sweep
-            # top-level files a crash-between-commit-and-cleanup left
-            for f in glob.glob(os.path.join(part_dir, "*.parquet")):
-                os.remove(f)
-            files_before += len(files)
-            files_after += len(files)
-            continue
-        # sweep pre-commit orphans from a previous crashed run
-        if os.path.isdir(comp_dir):
-            shutil.rmtree(comp_dir)
-        if meta["rows"] == 0 or len(files) <= 1:
-            files_before += len(files)
+        _sweep(part_dir, listed)
+        files = _partition_files(output_dir, pid, listed)
+        files_before += len(files)
+        if not manifest["complete"] or len(files) <= 1 \
+                or all(f.startswith("_compact/") for f in listed):
             files_after += len(files)
             continue
         # greedy size-bounded grouping in name order (row order within
         # the partition is preserved group-by-group)
-        sizes = [os.path.getsize(f) for f in files]
-        groups, cur, cur_sz = [], [], 0
-        for f, s in zip(files, sizes):
-            if cur and cur_sz + s > target_bytes:
-                groups.append(cur)
-                cur, cur_sz = [], 0
-            cur.append(f)
-            cur_sz += s
-        if cur:
-            groups.append(cur)
-        files_before += len(files)
+        groups, size = [[]], 0
+        for f in files:
+            s = os.path.getsize(f)
+            if groups[-1] and size + s > target_bytes:
+                groups.append([])
+                size = 0
+            groups[-1].append(f)
+            size += s
         if all(len(g) == 1 for g in groups):
             files_after += len(files)
             continue
-        os.makedirs(comp_dir, exist_ok=True)
-        new_names, refs = [], []
+        os.makedirs(os.path.join(part_dir, "_compact"), exist_ok=True)
+        new_listed, refs = {}, []
         for gi, group in enumerate(groups):
             name = os.path.join("_compact", f"c{gi:05d}.parquet")
             refs.append(merge_task.remote(
                 group, os.path.join(part_dir, name)))
-            new_names.append(name)
-        pending[pid] = (meta, files, new_names, refs)
+            new_listed[name] = sum(listed[os.path.basename(f)]
+                                   for f in group)
+        pending[pid] = (files, new_listed, refs)
     # phase 2 — commit each partition once ITS writes are durable
     for pid in sorted(pending):
-        meta, files, new_names, refs = pending[pid]
-        part_dir = os.path.join(output_dir, f"part={pid}")
+        files, new_listed, refs = pending[pid]
         ray.get(refs)
         # commit: readers atomically switch to the compacted set
-        meta = dict(meta)
-        meta["files"] = new_names
-        manifest["partitions"][pid] = meta
-        _write_manifest(output_dir, manifest)
+        manifest["partitions"][pid] = new_listed
+        write_json(os.path.join(output_dir, MANIFEST), manifest)
         # post-commit cleanup of superseded files
         for f in files:
-            if os.path.dirname(f) == part_dir:
-                os.remove(f)
+            os.remove(f)
         n_parts += 1
-        files_after += len(new_names)
+        files_after += len(new_listed)
     return {"partitions_compacted": n_parts,
             "files_before": files_before, "files_after": files_after}
 
@@ -323,7 +222,7 @@ def _compact_group(files: list, out_path: str) -> int:
     """Merge one size-bounded bin of parquet files into a single file
     (runs as a Ray task: the bin's bytes are read and written entirely
     worker-side).  Single-file bins are byte-copied unchanged."""
-    import pyarrow.parquet as pq
+    import shutil
 
     if len(files) == 1:
         shutil.copyfile(files[0], out_path)

@@ -23,6 +23,8 @@ sessions, reference: hepcrawl/spiders/desy_spider.py:94-122).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 
@@ -442,8 +444,10 @@ class DiscoverRouteStage:
     canonical offers into one slice per frontier partition.  The stage
     holds no partition handle and nothing between calls: its caller
     hands the slices to the partitions as call arguments (lesson 28).
-    ``actors`` and ``buffered`` are unused; they stay only so callers
-    that pass them (the benchmark's discover ledger) keep working.
+    Links come from ``discover_batch_fn`` (a per-row spec callback
+    adapted by :func:`batch_discover`).  ``discover_fn``, ``actors`` and
+    ``buffered`` are unused; they stay only so callers that pass them
+    (the benchmark's discover ledger) keep working.
 
     The production shape of the iterative crawl (reference analog: the
     PoS 3-hop chain, hepcrawl/spiders/pos_spider.py:93-199, where each
@@ -458,7 +462,6 @@ class DiscoverRouteStage:
     def __init__(self, discover_fn, actors, num_partitions,
                  salted_hosts=None, discover_batch_fn=None,
                  buffered=True):
-        self.discover_fn = discover_fn
         self.num_partitions = num_partitions
         self.salted_hosts = salted_hosts
         self.discover_batch_fn = discover_batch_fn
@@ -478,30 +481,35 @@ class DiscoverRouteStage:
     def __call__(self, batch: pa.Table) -> pa.Table | None:
         """The canonical links (OFFER_SCHEMA) found in ``batch``'s
         rows, or ``None`` when there are none."""
-        if self.discover_batch_fn is not None:
-            # vectorized contract: (urls, seqs) -> (offer table with
-            # url/priority/seq/mtime/set_id columns, per-row link
-            # counts).  Production link extraction happens on parsed
-            # BATCHES, so this is the scale path; per-row discover_fn
-            # stays the executable spec (equivalence pinned in
-            # tests/test_sources_iterative.py).  At 61 us/row the
-            # per-row Python callback dominated the iterative bench's
-            # wall clock.
-            raw, _ = self.discover_batch_fn(batch.column("url"),
-                                            batch.column("seq"))
-        else:
-            new_rows: list[dict] = []
-            for url, seq in zip(batch.column("url").to_pylist(),
-                                batch.column("seq").to_pylist()):
-                new_rows.extend(self.discover_fn(url, seq))
-            raw = pa.table({
-                "url": [r["url"] for r in new_rows],
-                "priority": [float(r.get("priority", 0.0))
-                             for r in new_rows],
-                "seq": [int(r["seq"]) for r in new_rows],
-                "mtime": [int(r.get("mtime", 0)) for r in new_rows],
-                "set_id": [r.get("set_id", "") for r in new_rows],
-            }) if new_rows else None
+        # vectorized contract: (urls, seqs) -> (offer table with
+        # url/priority/seq/mtime/set_id columns, per-row link counts).
+        # Production link extraction happens on parsed BATCHES; a
+        # per-row spec callback comes adapted by batch_discover
+        raw, _ = self.discover_batch_fn(batch.column("url"),
+                                        batch.column("seq"))
         if raw is None or not raw.num_rows:
             return None
         return canonicalize_batch(raw)
+
+
+def batch_discover(discover_fn):
+    """The ``discover_batch_fn`` contract over a per-row
+    ``discover_fn(canonical_url, seq) -> list of seed-like dicts`` (the
+    form sim.py's spec runs), for :class:`DiscoverRouteStage`."""
+    return functools.partial(_discover_rows, discover_fn)
+
+
+def _discover_rows(discover_fn, urls, seqs):
+    rows, counts = [], []
+    for url, seq in zip(urls.to_pylist(), seqs.to_pylist()):
+        found = discover_fn(url, seq)
+        counts.append(len(found))
+        rows.extend(found)
+    raw = pa.table({
+        "url": [r["url"] for r in rows],
+        "priority": [float(r.get("priority", 0.0)) for r in rows],
+        "seq": [int(r["seq"]) for r in rows],
+        "mtime": [int(r.get("mtime", 0)) for r in rows],
+        "set_id": [r.get("set_id", "") for r in rows],
+    }) if rows else None
+    return raw, counts

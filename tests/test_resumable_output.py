@@ -1,13 +1,21 @@
-"""Kill/resume with partitioned output: finished partitions are skipped
-untouched, the resumed run completes to a byte-identical result."""
+"""Kill/resume with chunked output (``run_crawl(output_dir=)``): a rerun
+writes only the chunks its manifest does not list, leaves committed
+files untouched, and completes to the uninterrupted run's records."""
 
+import json
 import os
+import shutil
 
 import pyarrow as pa
 import pytest
 
 from hepcrawl_ray import synth
+from hepcrawl_ray.pipelines import crawl as cp
 from hepcrawl_ray.pipelines import sink
+
+COLUMNS = ("url", "seq", "round", "pop_idx", "image_id", "caption",
+           "title", "date_published", "document_type", "error",
+           "pixels_verified", "phash_decoded")
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +26,14 @@ def corpus():
     return images, seeds, politeness
 
 
+def _crawl(corpus, out, ckpt, **kw):
+    images, seeds, politeness = corpus
+    kw = {"num_partitions": 4, **kw}
+    return cp.run_crawl(images, seeds, politeness, output_dir=str(out),
+                        checkpoint_dir=str(ckpt), fetch_concurrency=2,
+                        parse_concurrency=2, **kw)
+
+
 def _collect(output_dir):
     ds = sink.read_output(output_dir)
     t = pa.concat_tables(ds.iter_batches(batch_size=100_000,
@@ -26,90 +42,143 @@ def _collect(output_dir):
                       ("round", "ascending")])
 
 
-def test_crash_resume_identical_output(ray_session, corpus, tmp_path):
-    images, seeds, politeness = corpus
-    P = 4
+def _files(output_dir):
+    """Every file under the partition directories, relative to
+    ``output_dir``."""
+    return sorted(os.path.relpath(os.path.join(r, f), output_dir)
+                  for r, _, fs in os.walk(output_dir) for f in fs
+                  if os.path.relpath(r, output_dir).startswith("part="))
 
-    # clean reference run
-    clean_out = str(tmp_path / "clean")
-    m = sink.run_resumable_crawl(
-        images, seeds, politeness, output_dir=clean_out,
-        checkpoint_dir=str(tmp_path / "clean_ckpt"), num_partitions=P,
-        fetch_concurrency=2, parse_concurrency=2)
-    assert len(m["partitions"]) == P
-    clean = _collect(clean_out)
 
-    # crashing run: dies after 2 partitions
-    out = str(tmp_path / "crash")
-    ckpt = str(tmp_path / "crash_ckpt")
-    m1 = sink.run_resumable_crawl(
-        images, seeds, politeness, output_dir=out, checkpoint_dir=ckpt,
-        num_partitions=P, fetch_concurrency=2, parse_concurrency=2,
-        fail_after_partitions=2)
-    assert len(m1["partitions"]) == 2
+def _listed(output_dir):
+    return sorted(os.path.join(f"part={pid}", f)
+                  for pid, listed in sink.read_manifest(output_dir)
+                  ["partitions"].items() for f in listed)
 
-    # record state of finished partition files
-    finished = sorted(m1["partitions"])
-    mtimes = {}
-    for pid in finished:
-        d = os.path.join(out, f"part={pid}")
-        mtimes[pid] = {f: os.path.getmtime(os.path.join(d, f))
-                       for f in os.listdir(d)}
 
-    # resume: must skip finished partitions (files untouched)
-    m2 = sink.run_resumable_crawl(
-        images, seeds, politeness, output_dir=out, checkpoint_dir=ckpt,
-        num_partitions=P, fetch_concurrency=2, parse_concurrency=2)
-    assert len(m2["partitions"]) == P
-    for pid in finished:
-        d = os.path.join(out, f"part={pid}")
-        assert {f: os.path.getmtime(os.path.join(d, f))
-                for f in os.listdir(d)} == mtimes[pid], \
-            f"finished partition {pid} was rewritten on resume"
-
-    resumed = _collect(out)
-    assert resumed.num_rows == clean.num_rows
+def _assert_same_records(got, want):
+    assert got.num_rows == want.num_rows
     # full content equality on the stable identifying + parsed columns
-    for col in ("url", "seq", "round", "pop_idx", "image_id", "caption",
-                "title", "date_published", "document_type", "error",
-                "pixels_verified", "phash_decoded"):
-        assert resumed.column(col).equals(clean.column(col)), col
+    for col in COLUMNS:
+        assert got.column(col).equals(want.column(col)), col
+
+
+def test_crash_resume_identical_output(ray_session, corpus, tmp_path):
+    """The state a crash leaves, made deterministically: the manifest
+    lists only some chunks, an unlisted chunk file holds junk, and a
+    tmp file and a chunk of no drain lie around.  The rerun rewrites
+    exactly the unlisted chunks and ends with the clean records."""
+    out, ckpt = tmp_path / "out", tmp_path / "ckpt"
+    _crawl(corpus, out, ckpt, batch_size=8)
+    clean = _collect(str(out))
+    mpath = os.path.join(out, "_MANIFEST.json")
+    with open(mpath) as f:
+        manifest = json.load(f)
+    assert manifest["offered"] == corpus[1].num_rows
+
+    assert manifest["complete"]
+    manifest["complete"] = False
+    dropped = []
+    for pid, listed in manifest["partitions"].items():
+        for name in sorted(listed)[1::2]:
+            del listed[name]
+            dropped.append(os.path.join(out, f"part={pid}", name))
+    assert len(dropped) >= 3
+    with open(mpath, "w") as f:
+        json.dump(manifest, f)
+    with open(dropped[0], "wb") as f:
+        f.write(b"torn chunk")
+    os.remove(dropped[1])
+    junk = [os.path.join(out, "part=0", "chunk=999999-000.parquet"),
+            dropped[2] + ".12345.tmp"]
+    for path in junk:
+        with open(path, "wb") as f:
+            f.write(b"junk")
+    listed = _listed(str(out))
+    mtimes = {f: os.path.getmtime(os.path.join(out, f)) for f in listed}
+
+    res = _crawl(corpus, out, ckpt, batch_size=8)
+    assert res["offered"] == corpus[1].num_rows
+    assert {f: os.path.getmtime(os.path.join(out, f)) for f in listed} \
+        == mtimes, "a committed chunk was rewritten on resume"
+    assert _files(str(out)) == _listed(str(out))
+    assert not any(os.path.exists(p) for p in junk)
+    assert all(os.path.exists(p) for p in dropped)
+    assert sink.read_manifest(str(out))["complete"]
+    _assert_same_records(_collect(str(out)), clean)
 
 
 def test_orphan_partition_dir_rewritten(ray_session, corpus, tmp_path):
     """A partition directory WITHOUT a manifest entry is crash garbage
     (an in-flight write that missed its manifest record): a run must
     rebuild it rather than trust its contents."""
-    images, seeds, politeness = corpus
     out = str(tmp_path / "orphan")
     os.makedirs(os.path.join(out, "part=1"))
     junk = os.path.join(out, "part=1", "stale.parquet")
     with open(junk, "w") as f:
         f.write("not parquet")
 
-    m = sink.run_resumable_crawl(
-        images, seeds, politeness, output_dir=out,
-        checkpoint_dir=str(tmp_path / "orphan_ckpt"), num_partitions=2,
-        fetch_concurrency=2, parse_concurrency=2)
-    assert len(m["partitions"]) == 2
+    _crawl(corpus, out, tmp_path / "orphan_ckpt", num_partitions=2)
+    assert len(sink.read_manifest(out)["partitions"]) == 2
     assert not os.path.exists(junk), "stale crash leftover survived"
+    assert _files(out) == _listed(out)
     t = _collect(out)
     assert t.num_rows > 0
 
 
-def test_compact_output_preserves_rows(ray_session, corpus, tmp_path):
+def test_partial_checkpoint_without_manifest_is_fresh(ray_session, corpus,
+                                                      tmp_path):
+    """A checkpoint directory holding only some partitions' state (a
+    crash between two checkpoint calls), here another crawl's, is not
+    committed without a manifest: the crawl starts afresh and equals
+    a clean run."""
     images, seeds, politeness = corpus
+    _crawl(corpus, tmp_path / "clean", tmp_path / "clean_ckpt")
+    clean = _collect(str(tmp_path / "clean"))
+
+    other = tmp_path / "other_ckpt"
+    _crawl((images, seeds.slice(0, 20), politeness), tmp_path / "other",
+           other)
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(other / "part=0", ckpt / "part=0")
+    res = _crawl(corpus, tmp_path / "out", ckpt)
+    assert res["offered"] == seeds.num_rows
+    _assert_same_records(_collect(str(tmp_path / "out")), clean)
+
+
+def test_committed_manifest_must_match_the_call(ray_session, corpus,
+                                                tmp_path, monkeypatch):
+    """A committed crawl is resumed only by the same settings and with
+    its checkpoint directory; anything else raises ValueError before
+    any actor call."""
+    out, ckpt = tmp_path / "out", tmp_path / "ckpt"
+    _crawl(corpus, out, ckpt, num_partitions=2)
+
+    def no_actors(*args, **kwargs):
+        raise AssertionError("an actor was acquired")
+
+    for name in ("start_frontier", "restore_frontier", "acquire_pool"):
+        monkeypatch.setattr(cp, name, no_actors)
+    for kw in ({"num_partitions": 3}, {"num_partitions": 2,
+                                       "batch_size": 64},
+               {"num_partitions": 2, "drop_bytes": True}):
+        with pytest.raises(ValueError, match="another crawl"):
+            _crawl(corpus, out, ckpt, **kw)
+    images, seeds, politeness = corpus
+    with pytest.raises(ValueError, match="checkpoint_dir"):
+        cp.run_crawl(images, seeds, politeness, num_partitions=2,
+                     output_dir=str(out))
+
+
+def test_compact_output_preserves_rows(ray_session, corpus, tmp_path):
     out = str(tmp_path / "compact")
-    sink.run_resumable_crawl(
-        images, seeds, politeness, output_dir=out,
-        checkpoint_dir=str(tmp_path / "compact_ckpt"),
-        num_partitions=4, fetch_concurrency=2, parse_concurrency=2)
+    _crawl(corpus, out, tmp_path / "compact_ckpt", batch_size=8)
     before = _collect(out)
     n_before = sum(
-        len(sink._partition_files(out, pid, meta))
-        for pid, meta in sink.read_manifest(out)["partitions"].items())
+        len(sink._partition_files(out, pid, listed))
+        for pid, listed in sink.read_manifest(out)["partitions"].items())
 
-    # tiny target forces real merging
+    # a target above the whole output: one file per partition
     stats = sink.compact_output(out, target_bytes=1 << 30)
     assert stats["files_before"] == n_before
     assert stats["files_after"] <= stats["files_before"]
@@ -118,11 +187,13 @@ def test_compact_output_preserves_rows(ray_session, corpus, tmp_path):
 
     # manifest now pins explicit compacted file lists
     m = sink.read_manifest(out)
-    compacted = [meta for meta in m["partitions"].values()
-                 if "files" in meta]
-    assert len(compacted) == stats["partitions_compacted"]
-    for meta in compacted:
-        assert all(f.startswith("_compact/") for f in meta["files"])
+    compacted = [listed for listed in m["partitions"].values()
+                 if listed and all(f.startswith("_compact/")
+                                   for f in listed)]
+    assert len(compacted) == stats["partitions_compacted"] > 0
+    rows = {pid: sum(listed.values())
+            for pid, listed in m["partitions"].items()}
+    assert sum(rows.values()) == before.num_rows
 
     # idempotent: second run compacts nothing, rows unchanged
     stats2 = sink.compact_output(out, target_bytes=1 << 30)
@@ -138,45 +209,35 @@ def test_compact_output_multi_bin(ray_session, corpus, tmp_path):
     merge tasks, not just the one-file collapse), content is
     byte-identical and every bin respects the greedy target except
     single oversized files."""
-    images, seeds, politeness = corpus
     out = str(tmp_path / "multibin")
-    sink.run_resumable_crawl(
-        images, seeds, politeness, output_dir=out,
-        checkpoint_dir=str(tmp_path / "multibin_ckpt"),
-        num_partitions=2, fetch_concurrency=2, parse_concurrency=2,
-        max_rows_per_file=8)   # many small files per partition
+    _crawl(corpus, out, tmp_path / "multibin_ckpt", num_partitions=2,
+           batch_size=8)   # many small files per partition
     before = _collect(out)
     m0 = sink.read_manifest(out)
     sizes = {pid: [os.path.getsize(f) for f in
-                   sink._partition_files(out, pid, meta)]
-             for pid, meta in m0["partitions"].items()}
+                   sink._partition_files(out, pid, listed)]
+             for pid, listed in m0["partitions"].items()}
     target = 3 * max(max(s) for s in sizes.values() if s)
     stats = sink.compact_output(out, target_bytes=target)
     assert stats["partitions_compacted"] >= 1
     assert stats["files_after"] < stats["files_before"]
     # at least one compacted partition holds MULTIPLE bins
     m = sink.read_manifest(out)
-    n_bins = [len(meta["files"]) for meta in m["partitions"].values()
-              if "files" in meta]
+    n_bins = [len(listed) for listed in m["partitions"].values()
+              if listed and all(f.startswith("_compact/") for f in listed)]
     assert any(n > 1 for n in n_bins), n_bins
     assert _collect(out).equals(before)
     # greedy bound: no bin may exceed the target unless it is a
-    # single source file (none is here — sources are 8-row files)
-    for pid, meta in m["partitions"].items():
-        for f in sink._partition_files(out, pid, meta):
+    # single source file (none is here — sources are ~8-row files)
+    for pid, listed in m["partitions"].items():
+        for f in sink._partition_files(out, pid, listed):
             assert os.path.getsize(f) <= 2 * target
 
 
 def test_compact_output_crash_orphans_ignored(ray_session, corpus,
                                               tmp_path):
-    import os
-
-    images, seeds, politeness = corpus
     out = str(tmp_path / "orphan")
-    sink.run_resumable_crawl(
-        images, seeds, politeness, output_dir=out,
-        checkpoint_dir=str(tmp_path / "orphan_ckpt"),
-        num_partitions=2, fetch_concurrency=2, parse_concurrency=2)
+    _crawl(corpus, out, tmp_path / "orphan_ckpt", num_partitions=2)
     before = _collect(out)
 
     # simulate a crash BEFORE the manifest commit: half-written
@@ -191,3 +252,4 @@ def test_compact_output_crash_orphans_ignored(ray_session, corpus,
     # the next compaction sweeps the orphan and completes
     sink.compact_output(out, target_bytes=1 << 30)
     assert _collect(out).equals(before)
+    assert _files(out) == _listed(out)

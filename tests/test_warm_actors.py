@@ -534,6 +534,123 @@ class TestPoolFaults:
         assert proc.returncode == 0, proc.stderr[-3000:]
         assert proc.stdout.strip().splitlines()[-1].startswith("ok")
 
+    def test_chunk_output_larger_than_the_object_store(self, tmp_path):
+        """The same small store, with ``output_dir``: the pool writes
+        records several times the store's size as chunk files, nothing
+        is spilled, and the files hold exactly what a new stage makes
+        of their admissions."""
+        script = textwrap.dedent("""
+            import json
+            import os
+            import sys
+
+            import numpy as np
+            import pyarrow.parquet as pq
+            import ray
+
+            sys.path.insert(0, %(tests)r)
+            from test_warm_actors import _distinct_seeds, _stage_records
+
+            from hepcrawl_ray import synth
+            from hepcrawl_ray.pipelines import crawl as cp
+            from hepcrawl_ray.pipelines import sink
+
+            store, tmp = 80 * 1024 * 1024, %(tmp)r
+            spill = os.path.join(tmp, "spill")
+            ray.init(address="local", num_cpus=2, object_store_memory=store,
+                     include_dashboard=False, logging_level="ERROR",
+                     _system_config={"object_spilling_config": json.dumps(
+                         {"type": "filesystem",
+                          "params": {"directory_path": spill}})})
+            images, _ = synth.generate_corpus(64, size_range=(96, 128))
+            seeds = _distinct_seeds(images, 9000)
+            pol = synth.generate_politeness()
+            out = os.path.join(tmp, "out")
+            cp.run_crawl(images, seeds, pol, num_partitions=2,
+                         fetch_concurrency=2, parse_concurrency=2,
+                         batch_size=512, drop_bytes=False, output_dir=out,
+                         checkpoint_dir=os.path.join(tmp, "ckpt"))
+            spilled = [f for _, _, fs in os.walk(spill) for f in fs]
+            ray.shutdown()
+            assert not spilled, spilled
+            n, size, digest = 0, 0, []
+            manifest = sink.read_manifest(out)
+            for pid, listed in manifest["partitions"].items():
+                for f in sink._partition_files(out, pid, listed):
+                    b = pq.read_table(f)
+                    assert b.equals(_stage_records(b, images, True, False))
+                    n += b.num_rows
+                    size += b.nbytes
+                    digest.append(b.column("seq").to_numpy())
+            assert n == seeds.num_rows, n
+            assert size > 3 * store, size
+            assert np.array_equal(np.sort(np.concatenate(digest)),
+                                  np.arange(seeds.num_rows))
+            print("ok", n, size)
+        """) % {"tests": os.path.dirname(os.path.abspath(__file__)),
+                "tmp": str(tmp_path)}
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=root,
+                              env=env, capture_output=True, text=True,
+                              timeout=600)
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        assert proc.stdout.strip().splitlines()[-1].startswith("ok")
+
+    def test_killed_pool_actor_fails_the_chunk_output(
+            self, ray_session, corpus, pool_spy, tmp_path):
+        """A fetch+parse actor killed while its chunk writes are still
+        queued: run_crawl(output_dir=) raises a RayActorError promptly,
+        and a rerun with the same directories resumes to the records of
+        an uninterrupted crawl."""
+        import ray
+
+        images, _, politeness = corpus
+        seeds = _distinct_seeds(images, 6000)
+        kw = dict(num_partitions=2, fetch_concurrency=2, parse_concurrency=2,
+                  batch_size=32, output_dir=str(tmp_path / "out"),
+                  checkpoint_dir=str(tmp_path / "ckpt"))
+        real_wait = ray.wait
+        waits = []
+
+        def wait(refs, *args, **kwargs):
+            if sys._getframe(1).f_code.co_name == "_write_chunks":
+                waits.append(len(refs))
+                if len(waits) == 1:        # every chunk is queued
+                    ray.kill(pool_spy[-1][0])
+            return real_wait(refs, *args, **kwargs)
+
+        caught = []
+
+        def crawl():
+            try:
+                cp.run_crawl(images, seeds, politeness, **kw)
+            except Exception as exc:      # noqa: BLE001 - inspected below
+                caught.append(type(exc))
+
+        ray.wait = wait
+        try:
+            th = threading.Thread(target=crawl, daemon=True)
+            th.start()
+            th.join(timeout=60)
+        finally:
+            ray.wait = real_wait
+        assert not th.is_alive(), "run_crawl hung on a dead pool actor"
+        assert waits, "the crawl wrote nothing"
+        assert len(caught) == 1, "run_crawl ended without an error"
+        assert issubclass(caught[0], ray.exceptions.RayActorError), \
+            caught[0]
+
+        out = cp.run_crawl(images, seeds, politeness, **kw)
+        assert pool_spy[-2][0] not in pool_spy[-1]
+        resumed = pa.concat_tables(out["records"].iter_batches(
+            batch_size=None, batch_format="pyarrow"))
+        _, clean = _crawl(images, seeds, politeness, num_partitions=2,
+                          batch_size=32)
+        key = ORDER + [("url", "ascending")]
+        assert resumed.sort_by(key).equals(clean.sort_by(key))
+
 
 def _wait_dead(handle):
     """ray.kill is asynchronous: wait until calls on ``handle`` fail."""
