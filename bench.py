@@ -191,8 +191,7 @@ def run_crawl_bench(num_partitions: int = 16,
         img_path, seed_path, politeness,
         num_partitions=num_partitions,
         salted_hosts={"host00.bench.org": max(2, num_partitions // 2)},
-        fetch_concurrency=max(2, NUM_CPUS // 2),
-        parse_concurrency=max(2, NUM_CPUS),
+        width=max(2, NUM_CPUS),
         batch_size=2048, verify_pixels=True, drop_bytes=True,
         frontier_capacity=1 << 19)
     recs = out["records"]

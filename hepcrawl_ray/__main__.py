@@ -241,11 +241,9 @@ def cmd_crawl(args) -> int:
             images, seeds, politeness,
             output_dir=args.out,
             checkpoint_dir=args.checkpoint or (args.out + ".ckpt"),
-            num_partitions=args.partitions,
-            fetch_concurrency=args.fetch_concurrency,
-            parse_concurrency=args.parse_concurrency)
+            num_partitions=args.partitions, width=args.width)
         dt = time.monotonic() - t0
-        n = out["records"].count() if out["records"] is not None else 0
+        n = out["records"].count()
         partitions = read_manifest(args.out)["partitions"]
         print(json.dumps({"records": int(n), "sec": round(dt, 3),
                           "partitions": sorted(partitions),
@@ -311,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--checkpoint", default=None,
                    help="frontier checkpoint dir (default: <out>.ckpt)")
     s.add_argument("--partitions", type=int, default=4)
-    s.add_argument("--fetch-concurrency", type=int, default=4)
-    s.add_argument("--parse-concurrency", type=int, default=4)
+    s.add_argument("--width", type=int, default=4,
+                   help="fetch+parse workers (they route the seeds too)")
     s.set_defaults(fn=cmd_crawl)
     return p
 

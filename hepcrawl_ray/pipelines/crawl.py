@@ -1,15 +1,19 @@
 """The crawl pipeline: seeds -> frontier actors -> fetch -> parse -> write.
 
 Ray-Data restructuring of the reference's spider lifecycle (traced in
-SURVEY.md §3): the driver hands seed rows (or parquet row groups) to
-router actors, which compute crawl identity (``canonicalize_batch``)
-and return one slice per host-partitioned frontier actor; each actor
-takes its slices as the arguments of one offer call (Exoshuffle's
-map/reduce shape: only the driver calls a partition), the actors
-seal + drain the full admission schedule in parallel virtual time,
-and ONE pool of fused fetch+parse actors turns each admissions block
-into a records block.  An iterative crawl's blocks go by reference
-to the routers, and the driver waits only on each drain's metadata
+SURVEY.md §3).  A crawl runs two actor kinds: host-partitioned
+frontier partitions, and ONE pool of workers (``_FetchParseWorker``)
+that first routes and then fetches.  The driver hands seed rows (or
+parquet row groups) to the pool's first actors, which compute crawl
+identity (``canonicalize_batch``) and return one slice per partition;
+each partition takes its slices as the arguments of one offer call
+(Exoshuffle's map/reduce shape: only the driver calls a partition),
+the partitions seal + drain the full admission schedule in parallel
+virtual time, and the same pool turns each admissions block into a
+records block with the fused fetch+parse stage.  Routing ends before
+the drain and fetching starts after it, so the two never wait on one
+another.  An iterative crawl's blocks go by reference to the workers,
+and the driver waits only on each drain's metadata
 (:func:`run_iterative_crawl`).
 
 Scale notes (design for 256 nodes / 100 TB, tested single-node):
@@ -22,9 +26,9 @@ Scale notes (design for 256 nodes / 100 TB, tested single-node):
   and byte sizes the driver already knows, assembled into Datasets
   from those (``admissions_dataset``) — no driver-side row loop, and
   no task spent reading block metadata.
-- Frontier partitions, routers and fetch+parse workers outlive a
-  crawl: the next crawl in the same Ray session resets and reuses them
-  instead of paying actor start-up again (``_WarmActors``).
+- Frontier partitions and workers outlive a crawl: the next crawl in
+  the same Ray session resets and reuses them instead of paying actor
+  start-up again (``_WarmActors``).
 - With ``output_dir`` the fetch+parse actors write the records as
   resumable chunk files (``pipelines.sink``), never into the object
   store; the frontier checkpoints under ``checkpoint_dir``.
@@ -55,9 +59,9 @@ WARM_ACTOR_CPUS = 0.05
 
 class _WarmActors:
     """The actors the last finished crawl handed back (frontier
-    partitions, routers, fetch+parse workers), for the next crawl in
-    the same Ray session to reuse: a new actor answers its first call
-    ~1.7 s after it is created, a warm one in milliseconds (lesson 18).
+    partitions and workers), for the next crawl in the same Ray
+    session to reuse: a new actor answers its first call ~1.7 s after
+    it is created, a warm one in milliseconds (lesson 18).
     Only a session that runs several crawls gains, such as one that
     runs ``__ray_entry__.entry()`` and then the ``crawl_*`` queries,
     which the registry orders back to back.  A one-crawl session (the
@@ -69,12 +73,12 @@ class _WarmActors:
       while the records it owes are still queued on it, and its reset
       (and a kill, which ends an actor only after its queued calls)
       runs behind them;
-    - only the last finished crawl's actors stay idle: a release kills
-      the ones still idle (a call outside a crawl that acquired its
-      own, those of its kind only), and a crawl kills the idle actors
-      of each kind it takes beyond what it needs.  They are killed when
-      the session would have less than one whole CPU beside them, so a
-      1-CPU task always fits;
+    - only the last released actors of each class stay idle: a release
+      kills the idle actors of the classes it releases, and an acquire
+      kills the idle ones of its class beyond what it needs.  A release
+      kills those classes' actors, its own too, when the session would
+      have less than one whole CPU beside the idle ones, so a 1-CPU
+      task always fits;
     - the list belongs to the Ray session that made it (job and node
       ID: a restarted local cluster numbers its jobs from 1 again, but
       its node ID is new); in a new one it is dropped without calling
@@ -96,17 +100,16 @@ class _WarmActors:
         ctx = ray.get_runtime_context()
         return ctx.get_job_id(), ctx.get_node_id()
 
-    def _swap(self, keep, kinds=None):
-        """Make ``keep`` the idle list, or with ``kinds`` put it in
-        place of the idle actors of those classes only; returns the
-        handles it replaces (none when they belong to an earlier
-        session)."""
+    def _swap(self, keep, kinds):
+        """Put ``keep`` in place of the idle actors of the classes
+        ``kinds``; returns the handles it replaces (none when they
+        belong to an earlier session)."""
         key = self._session_key()
         with self._lock:
             idle = self._idle if self._session == key else []
             self._session, self._idle = key, keep + [
-                (c, h) for c, h in idle if kinds and c not in kinds]
-        return [h for c, h in idle if not kinds or c in kinds]
+                (c, h) for c, h in idle if c not in kinds]
+        return [h for c, h in idle if c in kinds]
 
     def take(self, cls, n=None):
         """Remove and return up to ``n`` (default: all) idle actors of
@@ -124,18 +127,15 @@ class _WarmActors:
             self._idle = rest
         return taken
 
-    def acquire(self, cls, inits, at_least=None):
+    def acquire(self, cls, inits):
         """One actor of ``cls`` per ``(args, kwargs)`` in ``inits``:
-        idle ones reset with them, then new ones (with ``at_least``,
-        new ones only up to that many actors in all).  Kills the idle
-        actors of ``cls`` beyond those; other kinds stay idle."""
+        idle ones reset with them, then new ones.  Kills the idle
+        actors of ``cls`` beyond those; other classes stay idle."""
         import ray
 
         taken = self.take(cls)
         _kill(taken[len(inits):])
         taken = taken[:len(inits)]
-        if at_least is not None:
-            inits = inits[:max(len(taken), at_least)]
         make = ray.remote(num_cpus=WARM_ACTOR_CPUS)(cls)
         resets = [h.reset.remote(*a, **kw)
                   for h, (a, kw) in zip(taken, inits)]
@@ -149,23 +149,22 @@ class _WarmActors:
                 actors[i] = make.remote(*a, **kw)
         return actors
 
-    def release(self, groups, keep_other_kinds=False):
+    def release(self, groups):
         """Queue a reset to nothing on ``(class, actors)`` groups and
-        keep them idle in place of the ones idle now, which are
-        killed (with ``keep_other_kinds``, only those of the released
-        classes).  Waits for nothing: the reset runs after the calls
-        already queued on each actor."""
+        keep them idle in place of the idle actors of those classes,
+        which are killed.  Waits for nothing: the reset runs after the
+        calls already queued on each actor."""
         import ray
 
         flat = [(cls, h) for cls, hs in groups for h in hs]
-        kinds = {cls for cls, _ in groups} if keep_other_kinds else None
+        kinds = {cls for cls, _ in groups}
         for _, h in flat:
             h.reset.remote()
         kept = {h for _, h in flat}
         _kill([h for h in self._swap(flat, kinds) if h not in kept])
         if ray.cluster_resources().get("CPU", 0.0) \
                 - len(self._idle) * WARM_ACTOR_CPUS < 1.0:
-            _kill(self._swap([]))
+            _kill(self._swap([], kinds))
 
 
 def _kill(actors):
@@ -175,17 +174,6 @@ def _kill(actors):
 
 
 _WARM = _WarmActors()
-
-
-class _Reusable:
-    """``reset`` for the workers ``_WARM`` keeps."""
-
-    def reset(self, *args) -> None:
-        """Drop all state (stage, handles, buffers, caches); with
-        constructor arguments, start over as a new actor would."""
-        self.__dict__.clear()
-        if args:
-            self.__init__(*args)
 
 
 def start_frontier(politeness_rows, num_partitions=4, salted_hosts=None,
@@ -220,34 +208,19 @@ def restore_frontier(checkpoint_dir, num_partitions):
     return actors
 
 
-def release_frontier(actors, discover_workers=(), pool=()):
-    """Hand a finished crawl's actors back instead of ``ray.kill``: the
-    next crawl in this Ray session reuses them (see ``_WarmActors``).
-    Call it once the crawl no longer needs them; Datasets over blocks
-    they drained, and records still queued on ``pool``, stay valid."""
-    _WARM.release([(FrontierPartition, actors),
-                   (_DiscoverWorker, discover_workers),
-                   (_FetchParseWorker, pool)])
-
-
-def acquire_routers(num_partitions, salted_hosts=None, seeds=None,
-                    discover_batch_fn=None):
-    """The router actors (``_DiscoverWorker``) of a crawl over
-    ``num_partitions`` frontier partitions, which canonicalize and
-    route its seeds and an iterative crawl's links: the idle ones, up
-    to ``N_DISCOVER_WORKERS``, and new ones up to that many or to one
-    per piece of ``seeds``, since in a one-crawl session every actor
-    start delays the offer.  Release them with the frontier."""
-    args = (num_partitions, salted_hosts, discover_batch_fn)
-    need = None if seeds is None else len(_seed_pieces(seeds))
-    return _WARM.acquire(_DiscoverWorker, [(args, {})] * N_DISCOVER_WORKERS,
-                         at_least=need)
+def release_frontier(actors, pool=()):
+    """Hand a finished crawl's frontier ``actors`` and worker ``pool``
+    back instead of ``ray.kill``: the next crawl in this Ray session
+    reuses them (see ``_WarmActors``).  Call it once the crawl no
+    longer needs them; Datasets over blocks they drained, and records
+    still queued on ``pool``, stay valid."""
+    _WARM.release([(FrontierPartition, actors), (_FetchParseWorker, pool)])
 
 
 def _seed_pieces(seeds, offer_batch_size=65536):
-    """What one router call offers: an ``offer_batch_size`` slice of a
+    """What one ``offer`` call routes: an ``offer_batch_size`` slice of a
     seed table, or a ``(file, row group)`` of parquet seeds (only the
-    footers are read here; the router reads the row group)."""
+    footers are read here; the worker reads the row group)."""
     if isinstance(seeds, pa.Table):
         return [seeds.slice(s, offer_batch_size)
                 for s in range(0, seeds.num_rows, offer_batch_size)]
@@ -259,7 +232,7 @@ def _seed_pieces(seeds, offer_batch_size=65536):
 
 
 def _route_and_offer(actors, calls):
-    """Make each ``(router method, args)`` call with one return per
+    """Make each ``(worker method, args)`` call with one return per
     partition (one slice or ``None``; Ray returns a single one as a
     bare ref), then queue one offer per partition that takes its
     slices as arguments; returns the offer refs."""
@@ -273,26 +246,27 @@ def _route_and_offer(actors, calls):
 def offer_seeds(actors, seeds, num_partitions, offer_batch_size=65536,
                 salted_hosts=None, workers=None):
     """Canonicalize + route ``seeds`` (a table or a parquet file,
-    directory or file list) into the frontier actors through the
-    routers ``workers`` (:func:`acquire_routers`; without them, routers
-    are acquired and released here), one :func:`_seed_pieces` piece
-    per call, then one offer per partition (lesson 28).  Returns the
-    rows offered, all delivered; a dead partition raises
-    RayActorError."""
+    directory or file list) into the frontier actors through
+    ``workers`` (from :func:`acquire_pool` with the same
+    ``num_partitions`` and ``salted_hosts``; without them,
+    ``N_DISCOVER_WORKERS`` are acquired with no corpus and released
+    here), one :func:`_seed_pieces` piece per call, then one offer per
+    partition (lesson 28).  Returns the rows offered, all delivered; a
+    dead partition raises RayActorError."""
     import ray
 
     pieces = _seed_pieces(seeds, offer_batch_size)
     own = workers is None
     if own:
-        workers = acquire_routers(num_partitions, salted_hosts)
+        workers = acquire_pool(N_DISCOVER_WORKERS, num_partitions,
+                               salted_hosts)
     try:
         return sum(ray.get(_route_and_offer(
             actors, [(workers[i % len(workers)].offer, (p,))
                      for i, p in enumerate(pieces)])))
     finally:
         if own:
-            _WARM.release([(_DiscoverWorker, workers)],
-                          keep_other_kinds=True)
+            _WARM.release([(_FetchParseWorker, workers)])
 
 
 def drain_admissions_chunked(actors, target_rows=1 << 18, seal=False):
@@ -346,7 +320,9 @@ def admissions_dataset(blocks, metas, schema=ADMIT_SCHEMA):
     from_arrow_refs reads them with one 1-CPU task per block, and
     each such task can cold-start a worker that imports ``ray.data``
     (~1.5 s); this builds the same Dataset from the given metadata,
-    no task at all, and does not wait for the blocks."""
+    no task at all, and does not wait for the blocks.  Without blocks
+    it holds one empty block, so that it still has ``schema``."""
+    import ray
     from ray.data._internal.logical.interfaces import LogicalPlan
     from ray.data._internal.logical.operators.from_operators import \
         FromArrow
@@ -356,6 +332,8 @@ def admissions_dataset(blocks, metas, schema=ADMIT_SCHEMA):
     from ray.data.context import DataContext
     from ray.data.dataset import MaterializedDataset
 
+    if not blocks:
+        blocks, metas = [ray.put(schema.empty_table())], [(0, 0)]
     meta = [BlockMetadataWithSchema(
         BlockMetadata(num_rows=int(m[0]), size_bytes=int(m[1]),
                       input_files=None, exec_stats=None),
@@ -367,10 +345,55 @@ def admissions_dataset(blocks, metas, schema=ADMIT_SCHEMA):
         plan, LogicalPlan(FromArrow(list(blocks), meta), plan._context))
 
 
-class _FetchParseWorker(_Reusable, FetchParseStage):
-    """Persistent actor hosting the fused fetch+parse stage across
-    crawls (wrapped with ``ray.remote`` by ``_WARM``; plain class so
-    tests can instantiate it directly)."""
+# workers that route: a crawl's seeds go through at most this many of
+# its pool, and an iterative crawl, or an offer outside a crawl,
+# acquires this many.  Offer fan-in serializes on the frontier actors'
+# inboxes, so more senders is slower (lesson 28)
+N_DISCOVER_WORKERS = 4
+
+
+class _FetchParseWorker(FetchParseStage):
+    """The one worker kind of a crawl, kept by ``_WARM`` across crawls:
+    it routes seeds and links to ``num_partitions`` partitions
+    (``offer``, ``process``: each call returns one OFFER_SCHEMA slice
+    per partition, :func:`_route_and_offer`, and nothing is kept
+    between calls) and, given a corpus, runs the fused fetch+parse
+    stage (``run``, ``write``).  A plain class, so tests can
+    instantiate it directly."""
+
+    def __init__(self, num_partitions, salted_hosts=None,
+                 discover_batch_fn=None, images=None, verify_pixels=True,
+                 drop_bytes=False):
+        self.router = DiscoverRouteStage(
+            None, (), num_partitions, salted_hosts,
+            discover_batch_fn=discover_batch_fn)
+        if images is not None:
+            FetchParseStage.__init__(self, images, verify_pixels,
+                                     drop_bytes)
+
+    def reset(self, *args) -> None:
+        """Drop all state (stages, caches); with constructor arguments,
+        start over as a new actor would."""
+        self.__dict__.clear()
+        if args:
+            self.__init__(*args)
+
+    def offer(self, seeds):
+        """Route seed rows: a table or a (parquet file, row group)."""
+        if isinstance(seeds, tuple):
+            seeds = pq.ParquetFile(seeds[0]).read_row_group(seeds[1])
+        return self._returns(self.router.offer(seeds))
+
+    def process(self, block: pa.Table, i: int, k: int):
+        """Route the links found in piece ``i`` of ``k`` of a drained
+        block."""
+        s, e = block.num_rows * i // k, block.num_rows * (i + 1) // k
+        links = self.router(block.slice(s, e - s)) if e > s else None
+        return self._returns(self.router.route(links))
+
+    @staticmethod
+    def _returns(slices):
+        return slices if len(slices) > 1 else slices[0]  # Ray: 1 = bare
 
     def run(self, block: pa.Table, start: int, n: int) -> pa.Table:
         return self(block.slice(start, n))
@@ -380,21 +403,24 @@ class _FetchParseWorker(_Reusable, FetchParseStage):
         return sink.write_chunk(self.run(block, start, n), path)
 
 
-def acquire_pool(images, width=4, verify_pixels=True, drop_bytes=False):
-    """The fused fetch+parse pool for ``fetch_and_parse(pool=)``:
-    ``width`` actors, capped at max(8, cpus/2) (lesson 5) and at two
-    per CPU of the session less one.  Idle ones are reset with the
-    corpus; the rest start now, so their start-up overlaps whatever
-    the caller does before the first block arrives."""
+def acquire_pool(width, num_partitions=1, salted_hosts=None,
+                 discover_batch_fn=None, images=None, verify_pixels=True,
+                 drop_bytes=False):
+    """``width`` workers (``_FetchParseWorker``), capped at max(8,
+    cpus/2) (lesson 5) and at two per CPU of the session less one,
+    that route to ``num_partitions`` partitions and, with ``images``,
+    fetch and parse (``fetch_and_parse(pool=)``).  Idle ones are reset
+    with these arguments; the rest start now, so their start-up
+    overlaps whatever the caller does before the first call."""
     import ray
 
     cpus = int(ray.cluster_resources().get("CPU", 1))
     width = max(1, min(width, max(8, cpus // 2), 2 * cpus - 1))
-    images_ref = images if isinstance(images, (str, list, tuple)) \
-        else ray.put(images)
-    return _WARM.acquire(
-        _FetchParseWorker,
-        [((images_ref, verify_pixels, drop_bytes), {})] * width)
+    if images is not None and not isinstance(images, (str, list, tuple)):
+        images = ray.put(images)
+    args = (num_partitions, salted_hosts, discover_batch_fn, images,
+            verify_pixels, drop_bytes)
+    return _WARM.acquire(_FetchParseWorker, [(args, {})] * width)
 
 
 def _assign(admissions_ds, batch_size, pool, load):
@@ -429,7 +455,10 @@ def fetch_and_parse(admissions_ds, images, *, fetch_concurrency=4,
     row-group lookups and hold O(batch) rows, stages.KeyedFetchStage).
     ``pool`` comes from :func:`acquire_pool` over the same ``images``,
     ``verify_pixels`` and ``drop_bytes``, and stays the caller's to
-    release; without one, one is acquired and released here.
+    release; without one, one ``max(fetch_concurrency,
+    parse_concurrency)`` wide is acquired and released here.  The two
+    widths are one pool's; they stay two keywords only so callers
+    that pass them keep working.
 
     Returns at once: the records Dataset is built from the result refs
     and the admissions' row counts (rows are 1:1), so ``count()`` and
@@ -439,14 +468,14 @@ def fetch_and_parse(admissions_ds, images, *, fetch_concurrency=4,
     them, and what exceeds the object store spills to disk (see
     ``run_crawl(output_dir=)``)."""
     own = pool is None
-    pool = pool or acquire_pool(images, max(fetch_concurrency,
-                                            parse_concurrency),
-                                verify_pixels, drop_bytes)
+    pool = pool or acquire_pool(
+        max(fetch_concurrency, parse_concurrency), images=images,
+        verify_pixels=verify_pixels, drop_bytes=drop_bytes)
     pieces = [p for ps in _assign(admissions_ds, batch_size, pool,
                                   [0] * len(pool)) for p in ps]
     outs = [a.run.remote(ref, s, n) for a, ref, s, n, _ in pieces]
     if own:
-        _WARM.release([(_FetchParseWorker, pool)], keep_other_kinds=True)
+        _WARM.release([(_FetchParseWorker, pool)])
     # size_bytes: the admissions' share (a lower bound, for estimates)
     return admissions_dataset(
         outs, [(n, (m.size_bytes or 0) * n // m.num_rows)
@@ -456,20 +485,19 @@ def fetch_and_parse(admissions_ds, images, *, fetch_concurrency=4,
 
 def run_crawl(images, seeds, politeness, *, num_partitions=4,
               salted_hosts=None, output_dir=None, checkpoint_dir=None,
-              fetch_concurrency=4, parse_concurrency=4,
-              batch_size=1024, verify_pixels=True,
+              width=4, batch_size=1024, verify_pixels=True,
               drop_bytes=False, frontier_capacity=1 << 17,
               spill_dir=None, spill_threshold_rows=None):
     """Full crawl.  Returns dict with the records Dataset and metrics.
 
-    Acquire the frontier, its routers and the fetch+parse pool (a cold
-    pool starts while the seeds are offered), offer the seeds through
-    the routers, seal once, checkpoint the sealed frontier if
-    ``checkpoint_dir`` is set, then drain admissions in ``batch_size``
-    chunks (:func:`drain_admissions_chunked`) into the pool
-    (:func:`fetch_and_parse`).  All actors are released, not killed,
-    so the next crawl in this Ray session starts on warm ones; this
-    returns before the records are computed.
+    Acquire the frontier and a pool of ``width`` workers
+    (:func:`acquire_pool`), offer the seeds through the pool's first
+    ``N_DISCOVER_WORKERS``, seal once, checkpoint the sealed frontier
+    if ``checkpoint_dir`` is set, then drain admissions in
+    ``batch_size`` chunks (:func:`drain_admissions_chunked`) into the
+    same pool (:func:`fetch_and_parse`).  All actors are released, not
+    killed, so the next crawl in this Ray session starts on warm ones;
+    this returns before the records are computed.
 
     With ``output_dir`` the pool writes them as chunk files
     (:func:`_write_chunks`), and this returns a Dataset over them once
@@ -488,15 +516,14 @@ def run_crawl(images, seeds, politeness, *, num_partitions=4,
                                 capacity_per_partition=frontier_capacity,
                                 spill_dir=spill_dir,
                                 spill_threshold_rows=spill_threshold_rows)
-        routers = acquire_routers(num_partitions, salted_hosts, seeds)
     else:
-        actors, routers = restore_frontier(checkpoint_dir, num_partitions), []
-    pool = acquire_pool(images, max(fetch_concurrency, parse_concurrency),
-                        verify_pixels, drop_bytes)
+        actors = restore_frontier(checkpoint_dir, num_partitions)
+    pool = acquire_pool(width, num_partitions, salted_hosts, images=images,
+                        verify_pixels=verify_pixels, drop_bytes=drop_bytes)
     try:
         if offered is None:
             offered = offer_seeds(actors, seeds, num_partitions,
-                                  salted_hosts=salted_hosts, workers=routers)
+                                  workers=pool[:N_DISCOVER_WORKERS])
             ray.get([a.seal.remote() for a in actors])
             if checkpoint_dir:
                 ray.get([a.checkpoint.remote(checkpoint_dir)
@@ -512,10 +539,13 @@ def run_crawl(images, seeds, politeness, *, num_partitions=4,
             out.start(offered)
             _write_chunks(actors, pool, out, batch_size)
             records = sink.read_output(output_dir)
+            if records is None:       # nothing admitted
+                records = admissions_dataset([], [], FetchParseStage
+                                             .output_schema(images, drop_bytes))
         metrics = ray.get([a.get_metrics.remote() for a in actors])
     finally:
         # on an error too: a dead actor is replaced when next acquired
-        release_frontier(actors, routers, pool=pool)
+        release_frontier(actors, pool)
     return {"records": records, "metrics": metrics, "offered": offered}
 
 
@@ -541,42 +571,6 @@ def _write_chunks(actors, pool, out, batch_size):
                             timeout=1.0)
         written = [(running.pop(r), n) for r, n in zip(ready, ray.get(ready))]
         out.commit(written, complete=not running)
-
-
-# routers (discover workers) per crawl: offer fan-in serializes on the
-# frontier actors' inboxes, so more senders is slower (lesson 28)
-N_DISCOVER_WORKERS = 4
-
-
-class _DiscoverWorker(_Reusable):
-    """Router actor (a DiscoverRouteStage) for a crawl's seeds and an
-    iterative crawl's links: each call returns one OFFER_SCHEMA slice
-    per partition (:func:`_route_and_offer`), and nothing is kept
-    between calls.  Kept by ``_WARM`` across crawls (a plain class, so
-    tests can instantiate it directly)."""
-
-    def __init__(self, num_partitions, salted_hosts,
-                 discover_batch_fn=None):
-        self.stage = DiscoverRouteStage(
-            None, (), num_partitions, salted_hosts,
-            discover_batch_fn=discover_batch_fn)
-
-    def offer(self, seeds):
-        """Route seed rows: a table or a (parquet file, row group)."""
-        if isinstance(seeds, tuple):
-            seeds = pq.ParquetFile(seeds[0]).read_row_group(seeds[1])
-        return self._returns(self.stage.offer(seeds))
-
-    def process(self, block: pa.Table, i: int, k: int):
-        """Route the links found in piece ``i`` of ``k`` of a drained
-        block."""
-        s, e = block.num_rows * i // k, block.num_rows * (i + 1) // k
-        links = self.stage(block.slice(s, e - s)) if e > s else None
-        return self._returns(self.stage.route(links))
-
-    @staticmethod
-    def _returns(slices):
-        return slices if len(slices) > 1 else slices[0]  # Ray: 1 = bare
 
 
 def _iter_checkpoint(actors, checkpoint_dir, gen, segments, tables):
@@ -633,18 +627,19 @@ def run_iterative_crawl(seeds, politeness, discover_fn, *,
     (optional): the VECTORIZED form of the same contract — one call
     per admitted batch returning an Arrow table with
     url/priority/seq/mtime/set_id columns, as production extraction
-    over parsed batches does.  Without it the routers run
+    over parsed batches does.  Without it the workers run
     ``discover_fn`` through :func:`stages.batch_discover`; the two are
     equivalence-pinned in tests/test_sources_iterative.py.
 
-    The crawl's routers route the seeds, then each iteration's links.
-    Per iteration the driver queues on every partition a drain, one
-    offer taking as arguments the link slices the routers return for
-    its block, and a seal; an actor runs one caller's calls in order,
-    even when an argument is ready late.  The driver waits only on each
-    drain's ``(rows, bytes, pending)``; admission tables reach it only
-    at a checkpoint and at the end.  Admission is decided over a
-    seq-sorted view at seal, so arrival order cannot change it.
+    ``N_DISCOVER_WORKERS`` workers, acquired with no corpus, route the
+    seeds, then each iteration's links.  Per iteration the driver
+    queues on every partition a drain, one offer taking as arguments
+    the link slices the workers return for its block, and a seal; an
+    actor runs one caller's calls in order, even when an argument is
+    ready late.  The driver waits only on each drain's ``(rows, bytes,
+    pending)``; admission tables reach it only at a checkpoint and at
+    the end.  Admission is decided over a seq-sorted view at seal, so
+    arrival order cannot change it.
 
     ``checkpoint_dir`` + ``checkpoint_every=k``: every k iterations,
     after that iteration's seal (a quiescent point), the partitions
@@ -673,11 +668,11 @@ def run_iterative_crawl(seeds, politeness, discover_fn, *,
     else:
         actors = start_frontier(politeness, num_partitions, salted_hosts)
         admissions, segments, gen = [], [], 0
-    # persistent routers, reused every iteration (lesson 26)
-    workers = acquire_routers(
-        num_partitions, salted_hosts,
-        discover_batch_fn=discover_batch_fn or batch_discover(discover_fn))
-    # k pieces per drained block keep every router busy when P < routers
+    # persistent workers, reused every iteration (lesson 26)
+    workers = acquire_pool(
+        N_DISCOVER_WORKERS, num_partitions, salted_hosts,
+        discover_batch_fn or batch_discover(discover_fn))
+    # k pieces per drained block keep every worker busy when P < workers
     k, blocks, queued = -(-len(workers) // num_partitions), [], []
     try:
         if not resume:

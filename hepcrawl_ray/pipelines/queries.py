@@ -785,15 +785,16 @@ def q_crawl_admissions(sf_dir: str):
 
     images, _, seeds, politeness = _crawl_tables(sf_dir)
     actors = cp.start_frontier(politeness.to_pylist(), num_partitions=2)
-    routers = cp.acquire_routers(2, seeds=seeds)
-    cp.offer_seeds(actors, seeds, 2, workers=routers)
+    # the width of q_crawl_records' pool: the crawls reuse one another's
+    workers = cp.acquire_pool(2, 2)
+    cp.offer_seeds(actors, seeds, 2, workers=workers)
     # seal BEFORE drain: offers stay buffered until seal and drain only
     # walks sealed queues (frontier.py); same pattern as run_crawl and
     # q_crawl_seen_set.
     ray.get([a.seal.remote() for a in actors])
     admissions = pa.concat_tables(
         ray.get([a.drain.remote(None) for a in actors]))
-    cp.release_frontier(actors, routers)
+    cp.release_frontier(actors, workers)
     return admissions.sort_by([("round", "ascending"), ("host", "ascending"),
                                ("pop_idx", "ascending")])
 
@@ -804,7 +805,7 @@ def q_crawl_records(sf_dir: str):
 
     images, _, seeds, politeness = _crawl_tables(sf_dir)
     out = cp.run_crawl(images, seeds, politeness, num_partitions=2,
-                       fetch_concurrency=2, parse_concurrency=2)
+                       width=2)
     return out["records"].drop_columns(["bytes"])
 
 
@@ -865,12 +866,12 @@ def q_crawl_metrics(sf_dir: str):
 
     _, _, seeds, politeness = _crawl_tables(sf_dir)
     actors = cp.start_frontier(politeness.to_pylist(), num_partitions=4)
-    routers = cp.acquire_routers(4, seeds=seeds)
-    cp.offer_seeds(actors, seeds, 4, workers=routers)
+    workers = cp.acquire_pool(2, 4)
+    cp.offer_seeds(actors, seeds, 4, workers=workers)
     ray.get([a.seal.remote() for a in actors])
     ray.get([a.drain.remote(None) for a in actors])
     metrics = ray.get([a.get_metrics.remote() for a in actors])
-    cp.release_frontier(actors, routers)
+    cp.release_frontier(actors, workers)
     cols = ("offered", "dropped_robots", "dropped_dup",
             "admitted_to_queue", "drained")
     return pa.table({
@@ -2367,12 +2368,12 @@ def q_crawl_seen_set(sf_dir: str):
 
     _, _, seeds, politeness = _crawl_tables(sf_dir)
     actors = cp.start_frontier(politeness.to_pylist(), num_partitions=2)
-    routers = cp.acquire_routers(2, seeds=seeds)
-    cp.offer_seeds(actors, seeds, 2, workers=routers)
+    workers = cp.acquire_pool(2, 2)
+    cp.offer_seeds(actors, seeds, 2, workers=workers)
     ray.get([a.seal.remote() for a in actors])
     ray.get([a.drain.remote(None) for a in actors])
     hashes = np.concatenate(ray.get([a.seen_hashes.remote() for a in actors]))
-    cp.release_frontier(actors, routers)
+    cp.release_frontier(actors, workers)
     return pa.table({"url_hash": np.sort(hashes)})
 
 
@@ -15147,8 +15148,7 @@ def q_compact_crawl_output(sf_dir: str):
         ckpt_dir = os.path.join(d, "ckpt")
         cp.run_crawl(
             images, seeds, politeness, output_dir=out_dir,
-            checkpoint_dir=ckpt_dir, num_partitions=4,
-            fetch_concurrency=2, parse_concurrency=2,
+            checkpoint_dir=ckpt_dir, num_partitions=4, width=2,
             batch_size=32)   # force the small-file state
         manifest = sink.read_manifest(out_dir)
         before = {pid: len(sink._partition_files(out_dir, pid, m))

@@ -437,8 +437,8 @@ class ParseStage:
 
 
 class DiscoverRouteStage:
-    """Link discovery and routing for the router actors
-    (``pipelines.crawl._DiscoverWorker``): ``__call__`` extracts the
+    """Link discovery and routing for the crawl's workers
+    (``pipelines.crawl._FetchParseWorker``): ``__call__`` extracts the
     links of admitted rows and canonicalizes them, :meth:`offer`
     canonicalizes seed rows as they are, and :meth:`route` cuts
     canonical offers into one slice per frontier partition.  The stage

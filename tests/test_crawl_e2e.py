@@ -35,7 +35,7 @@ def crawl_result(ray_session, corpus, tmp_path_factory):
     images, golden, seeds, politeness = corpus
     out = cp.run_crawl(images, seeds, politeness, num_partitions=3,
                        output_dir=str(tmp_path_factory.mktemp("crawl_out")),
-                       fetch_concurrency=2, parse_concurrency=2)
+                       width=2)
     table = pa.concat_tables(
         out["records"].iter_batches(batch_size=10_000, batch_format="pyarrow"))
     return out, table
@@ -124,8 +124,7 @@ class TestResumeThroughRay:
         activity in their metrics."""
         images, _, seeds, politeness = corpus
         out = cp.run_crawl(images, seeds, politeness, num_partitions=3,
-                           fetch_concurrency=2, parse_concurrency=2,
-                           spill_dir=str(tmp_path / "spill"),
+                           width=2, spill_dir=str(tmp_path / "spill"),
                            spill_threshold_rows=32)
         table = pa.concat_tables(out["records"].iter_batches(
             batch_size=10_000, batch_format="pyarrow"))
@@ -202,6 +201,34 @@ def _records(out):
         batch_size=None, batch_format="pyarrow"))
 
 
+class TestNothingAdmitted:
+    @pytest.mark.parametrize("output", [False, True])
+    def test_every_seed_robots_blocked(self, ray_session, corpus, tmp_path,
+                                       output):
+        """A crawl that admits nothing returns a 0-row records Dataset
+        with the records schema, with and without ``output_dir``."""
+        from hepcrawl_ray.stages import FetchParseStage
+
+        images, _, seeds, politeness = corpus
+        i = politeness.schema.get_field_index("robots_disallow")
+        field = politeness.schema.field(i)
+        blocked = politeness.set_column(i, field, pa.array(
+            [["/"]] * politeness.num_rows, field.type))
+        kw = dict(output_dir=str(tmp_path / "out"),
+                  checkpoint_dir=str(tmp_path / "ckpt")) if output else {}
+        out = cp.run_crawl(images, seeds, blocked, num_partitions=2,
+                           width=2, **kw)
+        metrics = out["metrics"]
+        assert sum(m["dropped_robots"] for m in metrics) > 0
+        assert sum(m["admitted_to_queue"] for m in metrics) == 0
+        records = out["records"]
+        assert records.count() == 0
+        assert records.schema().base_schema \
+            == FetchParseStage.output_schema(images)
+        assert sum(b.num_rows for b in records.iter_batches(
+            batch_size=None, batch_format="pyarrow")) == 0
+
+
 class TestParallelPool:
     def test_pool_width_keeps_row_order(self, ray_session, corpus,
                                         wide_seeds):
@@ -214,8 +241,7 @@ class TestParallelPool:
         def run(width):
             return _records(cp.run_crawl(
                 images, wide_seeds, politeness, num_partitions=3,
-                salted_hosts=SALTED, fetch_concurrency=width,
-                parse_concurrency=width, batch_size=256))
+                salted_hosts=SALTED, width=width, batch_size=256))
 
         one, three = run(1), run(3)
         assert one.num_rows == three.num_rows == wide_seeds.num_rows
@@ -239,8 +265,8 @@ class TestParallelPool:
 
         monkeypatch.setattr(cp, "fetch_and_parse", spy)
         out = cp.run_crawl(images, seeds, politeness, num_partitions=3,
-                           salted_hosts=SALTED, fetch_concurrency=2,
-                           parse_concurrency=2, batch_size=batch_size)
+                           salted_hosts=SALTED, width=2,
+                           batch_size=batch_size)
         blocks = [b for b in seen[0].iter_batches(batch_size=None,
                                                   batch_format="pyarrow")
                   if b.num_rows]
@@ -315,8 +341,7 @@ class TestDrainFaults:
         def crawl():
             try:
                 cp.run_crawl(images, seeds, politeness, num_partitions=3,
-                             fetch_concurrency=2, parse_concurrency=2,
-                             batch_size=16)
+                             width=2, batch_size=16)
             except Exception as exc:      # noqa: BLE001 - inspected below
                 caught.append(exc)
 
@@ -332,12 +357,11 @@ class TestDrainFaults:
 
         idle = {h for _, h in cp._WARM._idle}
         assert set(partitions) <= idle
-        assert sum(c is cp._DiscoverWorker for c, _ in cp._WARM._idle) >= 1
+        # the pool that routed the seeds, back idle
         assert sum(c is cp._FetchParseWorker for c, _ in cp._WARM._idle) \
-            >= 1
+            == 2
         out = cp.run_crawl(images, seeds, politeness, num_partitions=3,
-                           fetch_concurrency=2, parse_concurrency=2,
-                           batch_size=16)
+                           width=2, batch_size=16)
         table = _records(out).sort_by([("round", "ascending"),
                                        ("host", "ascending"),
                                        ("pop_idx", "ascending")])
@@ -350,7 +374,7 @@ class TestDrainFaults:
 
 class TestOfferSeeds:
     """offer_seeds: every seed row reaches the frontier through the
-    router actors, in ``offer_batch_size`` slices of a table or in the
+    workers' ``offer``, in ``offer_batch_size`` slices of a table or in the
     row groups of a parquet seed path, and how the rows were cut does
     not change the schedule."""
 
@@ -400,7 +424,7 @@ class TestOfferSeeds:
     @pytest.mark.parametrize("layout", ["file", "dir"])
     def test_parquet_seed_path(self, ray_session, corpus, tmp_path, layout):
         """A parquet seed file, or a directory of them, split into
-        several row groups: the routers read them and the schedule
+        several row groups: the workers read them and the schedule
         equals the simulator's."""
         import pyarrow.parquet as pq
 
@@ -429,8 +453,8 @@ class TestOfferSeeds:
     def test_dead_partition_fails_the_offer(self, ray_session, corpus):
         """A frontier partition killed before the offer: offer_seeds
         raises a RayActorError within a deadline instead of hanging,
-        its routers go back idle without the dead handle, and the next
-        crawl runs on them and still equals the simulator."""
+        the workers it acquired go back idle, and the next crawl runs
+        on them and still equals the simulator."""
         import ray
 
         images, _, seeds, politeness = corpus
@@ -454,14 +478,16 @@ class TestOfferSeeds:
         for a in actors:
             ray.kill(a)
 
-        def idle_routers():
-            return {h for c, h in cp._WARM._idle if c is cp._DiscoverWorker}
+        def idle_workers():
+            return {h for c, h in cp._WARM._idle
+                    if c is cp._FetchParseWorker}
 
-        routers = idle_routers()
-        assert len(routers) == cp.N_DISCOVER_WORKERS
+        workers = idle_workers()
+        assert len(workers) == cp.N_DISCOVER_WORKERS
         out = cp.run_crawl(images, seeds, politeness, num_partitions=3,
-                           fetch_concurrency=2, parse_concurrency=2)
-        assert idle_routers() == routers
+                           width=2)
+        # its pool of 2 was taken from them
+        assert len(idle_workers()) == 2 and idle_workers() <= workers
         table = _records(out).sort_by([("round", "ascending"),
                                        ("host", "ascending"),
                                        ("pop_idx", "ascending")])

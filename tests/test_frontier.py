@@ -181,8 +181,7 @@ class TestChunkedDrain:
 
         def run(batch_size):
             out = cp.run_crawl(images, seeds, politeness, num_partitions=3,
-                               fetch_concurrency=2, parse_concurrency=2,
-                               batch_size=batch_size)
+                               width=2, batch_size=batch_size)
             t = pa.concat_tables(out["records"].iter_batches(
                 batch_size=10_000, batch_format="pyarrow"))
             return t.sort_by("seq")

@@ -177,8 +177,7 @@ class TestCrawlWithStoredCorpus:
 
         def run(img):
             out = cp.run_crawl(img, seeds, politeness, num_partitions=3,
-                               fetch_concurrency=2, parse_concurrency=2,
-                               batch_size=128)
+                               width=2, batch_size=128)
             t = pa.concat_tables(out["records"].iter_batches(
                 batch_size=10_000, batch_format="pyarrow"))
             return t.sort_by("seq")

@@ -30,8 +30,7 @@ def _crawl(corpus, out, ckpt, **kw):
     images, seeds, politeness = corpus
     kw = {"num_partitions": 4, **kw}
     return cp.run_crawl(images, seeds, politeness, output_dir=str(out),
-                        checkpoint_dir=str(ckpt), fetch_concurrency=2,
-                        parse_concurrency=2, **kw)
+                        checkpoint_dir=str(ckpt), width=2, **kw)
 
 
 def _collect(output_dir):

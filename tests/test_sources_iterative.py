@@ -508,7 +508,7 @@ def _sim_schedule(seeds, politeness, discover):
 def _idle_routers():
     from hepcrawl_ray.pipelines import crawl as cp
 
-    return {h for c, h in cp._WARM._idle if c is cp._DiscoverWorker}
+    return {h for c, h in cp._WARM._idle if c is cp._FetchParseWorker}
 
 
 class TestIterativeLoop:

@@ -1,6 +1,6 @@
 """Crawl actors outlive a crawl: the next crawl in the same Ray session
-resets and reuses the frontier partitions and discover workers the
-last one released (pipelines.crawl._WarmActors).  A reused actor must
+resets and reuses the frontier partitions and workers the last one
+released (pipelines.crawl._WarmActors).  A reused actor must
 behave exactly like a new one, and idle actors must never starve
 later work."""
 
@@ -74,8 +74,7 @@ def frontier_spy(monkeypatch):
 
 
 def _crawl(images, seeds, politeness, **kw):
-    out = cp.run_crawl(images, seeds, politeness, fetch_concurrency=2,
-                       parse_concurrency=2, **kw)
+    out = cp.run_crawl(images, seeds, politeness, width=2, **kw)
     table = pa.concat_tables(out["records"].iter_batches(
         batch_size=None, batch_format="pyarrow"))
     return out, table
@@ -129,23 +128,41 @@ class TestReuse:
                                  in ref.admissions]
         _reconcile(out["metrics"], seeds.num_rows, table.num_rows)
 
-    def test_new_routers_only_per_seed_slice(self, ray_session, corpus,
-                                             monkeypatch):
-        """A crawl over one seed slice starts one router, not
-        N_DISCOVER_WORKERS (each start delays a cold crawl's offer);
-        idle routers are all reused, up to N_DISCOVER_WORKERS."""
-        _, seeds, politeness = corpus
-        monkeypatch.setattr(cp, "_WARM", cp._WarmActors())
-        actors = cp.start_frontier(politeness.to_pylist(), 2)
-        one = cp.acquire_routers(2, seeds=seeds)
-        assert len(one) == 1
-        cp.release_frontier(actors, one)
-        actors = cp.start_frontier(politeness.to_pylist(), 2)
-        full = cp.acquire_routers(2)
-        assert len(full) == cp.N_DISCOVER_WORKERS and one[0] in full
-        cp.release_frontier(actors, full)
-        actors = cp.start_frontier(politeness.to_pylist(), 2)
-        assert set(cp.acquire_routers(2, seeds=seeds)) == set(full)
+    def test_actor_starts(self, ray_session, corpus, monkeypatch):
+        """From an empty idle list, a crawl at 2 partitions and width 2
+        starts 4 actors: its pool routes the seeds.  An iterative crawl
+        after it reuses them all and starts only the workers it needs
+        beyond the pool; a third crawl starts none, and its records
+        equal the first one's.  The workers are reset from a corpus to
+        none and back."""
+        images, seeds, politeness = corpus
+        warm = cp._WarmActors()
+        monkeypatch.setattr(cp, "_WARM", warm)
+        acquired = []
+
+        def acquire(cls, inits, real=warm.acquire):
+            acquired.append(real(cls, inits))
+            return acquired[-1]
+
+        def started():
+            return len({h._actor_id for hs in acquired for h in hs})
+
+        monkeypatch.setattr(warm, "acquire", acquire)
+        _, first = _crawl(images, seeds, politeness, num_partitions=2)
+        assert started() == 4
+        tree_seeds, discover = _tree(40)
+        pol = pa.table({"host": ["host1.example.org"],
+                        "max_concurrency": [2], "min_delay_ms": [0],
+                        "robots_disallow": [[]]},
+                       schema=synth.POLITENESS_SCHEMA)
+        cp.run_iterative_crawl(tree_seeds, pol, discover, num_partitions=2)
+        assert set(acquired[2]) == set(acquired[0])        # partitions
+        assert set(acquired[1]) < set(acquired[3])         # workers
+        assert started() == 2 + cp.N_DISCOVER_WORKERS
+        _, third = _crawl(images, seeds, politeness, num_partitions=2)
+        assert started() == 2 + cp.N_DISCOVER_WORKERS
+        assert third.equals(first)
+        cp._kill(warm._swap([], {FrontierPartition, cp._FetchParseWorker}))
 
     def test_reset_partition_equals_new(self, corpus):
         """FrontierPartition.reset drops the seen set, queues, buffered
@@ -198,7 +215,7 @@ class TestIterativeReuse:
         budget) and still equals the simulator on order and seen set."""
         def idle_workers():
             return {h for c, h in cp._WARM._idle
-                    if c is cp._DiscoverWorker}
+                    if c is cp._FetchParseWorker}
 
         host = "host1.example.org"
         workers = []
@@ -397,8 +414,7 @@ class TestPoolReuse:
 
         for drop in (False, True):
             out = cp.run_crawl(images, seeds, politeness, num_partitions=2,
-                               fetch_concurrency=2, parse_concurrency=2,
-                               drop_bytes=drop, batch_size=16)
+                               width=2, drop_bytes=drop, batch_size=16)
             drained = sum(m["drained"] for m in out["metrics"])
             with monkeypatch.context() as m:
                 m.setattr(ExecutionPlan, "execute", boom)
@@ -410,23 +426,21 @@ class TestPoolReuse:
             assert rows.num_rows == drained
             assert schema == rows.schema
 
-    def test_records_survive_the_next_crawl(self, ray_session, corpus):
+    def test_records_survive_the_next_crawl(self, ray_session, corpus,
+                                            pool_spy):
         """run_crawl returns before its records are computed and hands
-        its pool back at once; the next crawl kills that idle pool, and
-        the records still come back whole, because a kill waits for the
-        calls already queued on the actor."""
-        images, _, politeness = corpus
+        its pool back at once; the next, narrower crawl resets one of
+        its actors and kills the other, and the records still come back
+        whole, because a reset and a kill both wait for the calls
+        already queued on the actor."""
+        images, small_seeds, politeness = corpus
         seeds = _distinct_seeds(images, 6000)
         out = cp.run_crawl(images, seeds, politeness, num_partitions=2,
-                           fetch_concurrency=2, parse_concurrency=2,
-                           batch_size=32)
-        tree_seeds, discover = _tree(40)
-        pol = pa.table({"host": ["host1.example.org"],
-                        "max_concurrency": [2], "min_delay_ms": [0],
-                        "robots_disallow": [[]]},
-                       schema=synth.POLITENESS_SCHEMA)
-        cp.run_iterative_crawl(tree_seeds, pol, discover, num_partitions=2)
-        assert not any(c is cp._FetchParseWorker for c, _ in cp._WARM._idle)
+                           width=2, batch_size=32)
+        cp.run_crawl(images, small_seeds, politeness, num_partitions=2,
+                     width=1)
+        assert len(pool_spy[-1]) == 1 and set(pool_spy[-1]) < set(
+            pool_spy[-2])
         table = pa.concat_tables(out["records"].iter_batches(
             batch_size=None, batch_format="pyarrow"))
         assert table.num_rows == seeds.num_rows
@@ -435,14 +449,17 @@ class TestPoolReuse:
     def test_room_for_a_1cpu_task_after_run_crawl(self, ray_session,
                                                   corpus):
         """The 1-CPU floor holds when the iterative crawl follows a
-        run_crawl whose fetch+parse pool went idle."""
+        run_crawl whose fetch+parse pool went idle, and runs on that
+        pool."""
         images, seeds, politeness = corpus
         _crawl(images, seeds, politeness, num_partitions=2)
-        assert any(c is cp._FetchParseWorker for c, _ in cp._WARM._idle)
+        pool = {h for c, h in cp._WARM._idle if c is cp._FetchParseWorker}
+        assert len(pool) == 2
         TestIterativeReuse().test_idle_actors_leave_room_for_a_1cpu_task(
             ray_session)
-        assert not any(c is cp._FetchParseWorker
-                       for c, _ in cp._WARM._idle)
+        workers = {h for c, h in cp._WARM._idle
+                   if c is cp._FetchParseWorker}
+        assert pool < workers and len(workers) == cp.N_DISCOVER_WORKERS
 
 
 class TestPoolFaults:
@@ -457,8 +474,7 @@ class TestPoolFaults:
         images, _, politeness = corpus
         seeds = _distinct_seeds(images, 3000)
         out = cp.run_crawl(images, seeds, politeness, num_partitions=2,
-                           fetch_concurrency=2, parse_concurrency=2,
-                           batch_size=32)
+                           width=2, batch_size=32)
         dead = pool_spy[-1][0]
         ray.kill(dead)
         caught = []
@@ -509,8 +525,7 @@ class TestPoolFaults:
             seeds = _distinct_seeds(images, 9000)
             pol = synth.generate_politeness()
             out = cp.run_crawl(images, seeds, pol, num_partitions=2,
-                               fetch_concurrency=2, parse_concurrency=2,
-                               batch_size=512, drop_bytes=False)
+                               width=2, batch_size=512, drop_bytes=False)
             n, size, digest = 0, 0, []
             for b in out["records"].iter_batches(batch_size=None,
                                                  batch_format="pyarrow"):
@@ -567,7 +582,7 @@ class TestPoolFaults:
             pol = synth.generate_politeness()
             out = os.path.join(tmp, "out")
             cp.run_crawl(images, seeds, pol, num_partitions=2,
-                         fetch_concurrency=2, parse_concurrency=2,
+                         width=2,
                          batch_size=512, drop_bytes=False, output_dir=out,
                          checkpoint_dir=os.path.join(tmp, "ckpt"))
             spilled = [f for _, _, fs in os.walk(spill) for f in fs]
@@ -608,8 +623,8 @@ class TestPoolFaults:
 
         images, _, politeness = corpus
         seeds = _distinct_seeds(images, 6000)
-        kw = dict(num_partitions=2, fetch_concurrency=2, parse_concurrency=2,
-                  batch_size=32, output_dir=str(tmp_path / "out"),
+        kw = dict(num_partitions=2, width=2, batch_size=32,
+                  output_dir=str(tmp_path / "out"),
                   checkpoint_dir=str(tmp_path / "ckpt"))
         real_wait = ray.wait
         waits = []
@@ -681,7 +696,7 @@ class TestIdleList:
         assert warm.take(FrontierPartition, 4) == []
         assert warm._idle == [] and warm._session == "b"
         warm._session, warm._idle = "a", [(FrontierPartition, _NoCalls())]
-        assert warm._swap([]) == []
+        assert warm._swap([], {FrontierPartition}) == []
 
     def test_concurrent_swap_and_take_conserve_actors(self, monkeypatch):
         """Threads putting and taking idle actors at once: every actor
@@ -696,7 +711,8 @@ class TestIdleList:
         def work(t):
             for r in range(rounds):
                 out[t] += warm._swap([(FrontierPartition, (t, r, k))
-                                      for k in range(3)])
+                                      for k in range(3)],
+                                     {FrontierPartition})
                 out[t] += warm.take(FrontierPartition, 2)
 
         old = sys.getswitchinterval()
@@ -743,7 +759,7 @@ class TestIdleList:
                 ray.init(address="local", num_cpus=2,
                          include_dashboard=False, logging_level="ERROR")
                 out = cp.run_crawl(images, seeds, pol, num_partitions=2,
-                                   fetch_concurrency=1, parse_concurrency=1)
+                                   width=1)
                 t = pa.concat_tables(out["records"].iter_batches(
                     batch_size=None, batch_format="pyarrow")).sort_by(
                     [("round", "ascending"), ("host", "ascending"),
@@ -754,10 +770,9 @@ class TestIdleList:
             def idle_classes():
                 return sorted(c.__name__ for c, _ in cp._WARM._idle)
 
-            # the two frontier partitions, the router of the one seed
-            # slice and the 1-actor fetch+parse pool
-            kept = ["FrontierPartition"] * 2 + ["_DiscoverWorker",
-                                                "_FetchParseWorker"]
+            # the two frontier partitions and the 1-actor pool, which
+            # routed the seeds too
+            kept = ["FrontierPartition"] * 2 + ["_FetchParseWorker"]
             crawl()
             first = cp._WARM._session
             assert idle_classes() == kept
