@@ -192,8 +192,7 @@ def run_crawl_bench(num_partitions: int = 16,
         num_partitions=num_partitions,
         salted_hosts={"host00.bench.org": max(2, num_partitions // 2)},
         width=max(2, NUM_CPUS),
-        batch_size=2048, verify_pixels=True, drop_bytes=True,
-        frontier_capacity=1 << 19)
+        batch_size=2048, verify_pixels=True, drop_bytes=True)
     recs = out["records"]
     from ray.data.aggregate import Sum
 

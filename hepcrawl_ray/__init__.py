@@ -5,7 +5,7 @@ inspirehep/hepcrawl (a Scrapy-based harvesting service) on Ray Data:
 
 - corpus enumeration → seed frontier ``ray.data.Dataset``
 - canonicalized-URL 64-bit hashing (``urlkit``)
-- bloom+cuckoo URL-seen filters (``state``), replacing the reference's
+- a sorted-run URL-seen set (``state``), replacing the reference's
   crawl-once sqlite DB (reference: hepcrawl/middlewares.py:58-210)
 - per-host priority-heap frontier actors with token-bucket politeness
   and robots caches (``frontier``), replacing Scrapy's scheduler +

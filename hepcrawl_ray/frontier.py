@@ -5,8 +5,8 @@ politeness settings (reference: hepcrawl/middlewares.py:58-210,
 hepcrawl/settings.py:50-60) with a pool of Ray actors, one per
 host-hash partition:
 
-- a SeenSet (blocked Bloom + cuckoo map) holding the URL-seen state
-  with the timestamp re-crawl rule
+- a SeenSet (sorted int64 key/timestamp runs) holding the URL-seen
+  state with the timestamp re-crawl rule
 - per-host pending queues with ``(-priority, seq)`` ordering (Scrapy's
   higher-priority-first, FIFO tie-break), stored as *sorted numpy
   arrays + cursor* — pop order equals sorted order between offer
@@ -302,7 +302,7 @@ class FrontierPartition:
 
     def __init__(self, part_id: int, num_partitions: int,
                  politeness_rows: list[dict] | None = None,
-                 capacity: int = 1 << 17, tick_ms: int = DEFAULT_TICK_MS,
+                 tick_ms: int = DEFAULT_TICK_MS,
                  default_concurrency: int = DEFAULT_CONCURRENCY,
                  default_delay_ms: int = DEFAULT_DELAY_MS,
                  salted_hosts: dict[str, int] | None = None,
@@ -333,7 +333,7 @@ class FrontierPartition:
                 row["max_concurrency"], row["min_delay_ms"],
                 disallow, tick_ms, allow=allow)
         self.salted_hosts = dict(salted_hosts or {})
-        self.seen = SeenSet(capacity=capacity)
+        self.seen = SeenSet()
         self._buffer: list[pa.Table] = []
         # per host-key: dict with sorted column arrays + cursor
         self.queues: dict[str, dict] = {}
@@ -364,16 +364,6 @@ class FrontierPartition:
             self.budgets[host] = b
         return b
 
-    def _queue_key_and_share(self, host: str, url_hash: int) -> tuple[str, int]:
-        """Sub-partition key + concurrency share for (possibly salted) host."""
-        k = self.salted_hosts.get(host, 0)
-        if k <= 1:
-            return host, self._budget_for(host).concurrency
-        sub = int(url_hash) % k
-        c = self._budget_for(host).concurrency
-        share = c // k + (1 if sub < c % k else 0)
-        return f"{host}#{sub}", max(1, share)
-
     # -- offer / seal --------------------------------------------------------
 
     def offer(self, *tables: pa.Table | None) -> int:
@@ -388,82 +378,85 @@ class FrontierPartition:
         """Apply robots + crawl-once rules to the buffered offers (in
         seq order), append survivors to the per-host sorted queues.
 
-        The table itself is never sorted: admission decisions are made
-        over a seq-ordered *view* (argsort of the int64 seq column) and
-        mapped back, avoiding a full Arrow string sort; per-queue order
-        is restored by ``_enqueue``'s (-priority, seq) sort anyway.
+        One grouping pass: ``host`` is dictionary-encoded once, each
+        row gets its queue id (a salted host's ``url_hash % k`` sub
+        index included), and a stable argsort by queue id groups the
+        batch.  Each ruled host's robots rules run over its own rows
+        only, the crawl-once decision runs over a seq-ordered view
+        (argsort of the int64 seq column, mapped back), and one take by
+        (queue, row order) hands each queue a slice for ``_enqueue``.
+        The grouping is stable because ``_enqueue``'s (-priority, seq)
+        sort keeps the input order of ties.
         """
         if not self._buffer:
             return dict(self.metrics)
         t = pa.concat_tables(self._buffer).combine_chunks()
         self._buffer = []
-        self.metrics["offered"] += t.num_rows
+        n = t.num_rows
+        self.metrics["offered"] += n
         self.metrics["seal_batches"] += 1
+
+        enc = pc.dictionary_encode(t.column("host")).chunk(0)
+        hosts = enc.dictionary.to_pylist()      # first-appearance order
+        budgets = [self._budget_for(h) for h in hosts]
+        salt = np.array([max(1, self.salted_hosts.get(h, 0)) for h in hosts],
+                        dtype=np.int64)
+        first_q = np.concatenate(([0], np.cumsum(salt)))
+        codes = enc.indices.to_numpy()
+        hashes = t.column("url_hash").to_numpy()
+        qid = first_q[codes] + hashes % salt[codes]
+        # (a radix sort while there are at most 65,536 queues)
+        by_q = np.argsort(qid.astype(np.min_scalar_type(first_q[-1])),
+                          kind="stable")
+        bounds = np.searchsorted(qid[by_q], first_q)
 
         # robots filter (Arrow kernels — RFC 9309 longest-match with
         # Allow overrides, wildcard/anchor patterns included, see
-        # robots_blocked_mask).  Rules run over ONLY that host's rows
-        # (a take per ruled host), not the whole batch per host — with
-        # H hosts x R regex rules the full-column version costs H x
-        # the kernel work.
-        host_col = t.column("host")
+        # robots_blocked_mask), over each ruled host's rows only
+        keep = np.ones(n, dtype=bool)
         path_col = t.column("path")
-        distinct_hosts = pc.unique(host_col).to_pylist()
-        keep = np.ones(t.num_rows, dtype=bool)
-        for host in distinct_hosts:
-            bud = self._budget_for(host)
-            if not bud.disallow and not bud.allow:
-                continue
-            m = pc.equal(host_col, host)
-            if isinstance(m, pa.ChunkedArray):
-                m = m.combine_chunks()
-            idx = np.nonzero(m.to_numpy(zero_copy_only=False))[0]
-            if not idx.size:
-                continue
-            blocked = robots_blocked_mask(path_col.take(pa.array(idx)),
-                                          bud.disallow, bud.allow)
-            keep[idx[blocked]] = False
-        self.metrics["dropped_robots"] += int((~keep).sum())
-        if not keep.all():
-            t = t.filter(pa.array(keep))
+        for c, bud in enumerate(budgets):
+            if bud.disallow or bud.allow:
+                idx = by_q[bounds[c]:bounds[c + 1]]
+                blocked = robots_blocked_mask(path_col.take(idx),
+                                              bud.disallow, bud.allow)
+                keep[idx[blocked]] = False
+        kept = np.flatnonzero(keep)
+        self.metrics["dropped_robots"] += n - len(kept)
 
         # crawl-once admission, decided in seq order over a permuted view
-        hashes = t.column("url_hash").to_numpy()
-        mtimes = t.column("mtime").to_numpy()
-        seqs = t.column("seq").to_numpy()
-        order = np.argsort(seqs, kind="stable")
-        admit_sorted = self.seen.admit_many(hashes[order], mtimes[order])
-        admit = np.empty(len(admit_sorted), dtype=bool)
-        admit[order] = admit_sorted
-        self.metrics["dropped_dup"] += int((~admit).sum())
-        if not admit.all():
-            t = t.filter(pa.array(admit))
-        self.metrics["admitted_to_queue"] += t.num_rows
-        if t.num_rows == 0:
+        seen_order = kept[np.argsort(t.column("seq").to_numpy()[kept],
+                                     kind="stable")]
+        admit = np.zeros(n, dtype=bool)
+        admit[seen_order] = self.seen.admit_many(
+            hashes[seen_order], t.column("mtime").to_numpy()[seen_order])
+        admitted = int(admit.sum())
+        self.metrics["dropped_dup"] += len(kept) - admitted
+        self.metrics["admitted_to_queue"] += admitted
+        if not admitted:
             return dict(self.metrics)
 
-        # append to per-queue sorted arrays.  Fast path: no salted hosts
-        # in this batch -> qkey == host, no per-row Python.
-        if not self.salted_hosts:
-            for qkey in pc.unique(t.column("host")).to_pylist():
-                rows = t.filter(pc.equal(t.column("host"), qkey))
-                self._enqueue(qkey, rows)
-            return dict(self.metrics)
-        hosts_np = np.asarray(t.column("host").to_pylist(), dtype=object)
-        qkeys = hosts_np.copy()
-        q_hash = t.column("url_hash").to_numpy()
-        for h, k in self.salted_hosts.items():
-            if k <= 1:
-                continue
-            m = hosts_np == h
-            if not m.any():
-                continue
-            labels = np.array([f"{h}#{i}" for i in range(k)], dtype=object)
-            qkeys[m] = labels[q_hash[m] % k]
-        t = t.append_column("_qkey", pa.array(qkeys))
-        for qkey in sorted(set(qkeys.tolist())):
-            rows = t.filter(pc.equal(t.column("_qkey"), qkey)).drop(["_qkey"])
-            self._enqueue(qkey, rows)
+        rows = by_q[admit[by_q]]
+        q = qid[rows]
+        starts = np.flatnonzero(np.concatenate(([True], q[1:] != q[:-1])))
+        sizes = np.diff(np.append(starts, len(rows))).tolist()
+        q_host = np.repeat(np.arange(len(hosts)), salt)
+        labels = []
+        for i in q[starts].tolist():
+            c = q_host[i]
+            labels.append(hosts[c] if salt[c] == 1
+                          else f"{hosts[c]}#{i - first_q[c]}")
+        # queues are created in the order of their first admitted row,
+        # or in label order when salting is on (the checkpoint and the
+        # spill segment names follow it)
+        if self.salted_hosts:
+            queue_order = sorted(range(len(labels)), key=labels.__getitem__)
+        else:
+            queue_order = np.argsort(rows[starts]).tolist()
+        taken = t.take(rows)
+        starts = starts.tolist()
+        for j in queue_order:
+            self._enqueue(labels[j], taken.slice(starts[j], sizes[j]))
         return dict(self.metrics)
 
     # -- cold-tail spill ------------------------------------------------------

@@ -177,8 +177,7 @@ _WARM = _WarmActors()
 
 
 def start_frontier(politeness_rows, num_partitions=4, salted_hosts=None,
-                   capacity_per_partition=1 << 17, tick_ms=100,
-                   spill_dir=None, spill_threshold_rows=None):
+                   tick_ms=100, spill_dir=None, spill_threshold_rows=None):
     """Create the frontier actor pool, reusing the partitions the
     previous crawl released (:func:`release_frontier`), each reset to a
     fresh partition.  ``spill_dir`` + ``spill_threshold_rows`` cap each
@@ -187,9 +186,8 @@ def start_frontier(politeness_rows, num_partitions=4, salted_hosts=None,
     ``politeness_rows``: a politeness table or its rows as dicts."""
     if isinstance(politeness_rows, pa.Table):
         politeness_rows = politeness_rows.to_pylist()
-    kw = dict(capacity=capacity_per_partition, tick_ms=tick_ms,
-              salted_hosts=salted_hosts, spill_dir=spill_dir,
-              spill_threshold_rows=spill_threshold_rows)
+    kw = dict(tick_ms=tick_ms, salted_hosts=salted_hosts,
+              spill_dir=spill_dir, spill_threshold_rows=spill_threshold_rows)
     return _WARM.acquire(FrontierPartition,
                          [((i, num_partitions, politeness_rows), kw)
                           for i in range(num_partitions)])
@@ -486,8 +484,7 @@ def fetch_and_parse(admissions_ds, images, *, fetch_concurrency=4,
 def run_crawl(images, seeds, politeness, *, num_partitions=4,
               salted_hosts=None, output_dir=None, checkpoint_dir=None,
               width=4, batch_size=1024, verify_pixels=True,
-              drop_bytes=False, frontier_capacity=1 << 17,
-              spill_dir=None, spill_threshold_rows=None):
+              drop_bytes=False, spill_dir=None, spill_threshold_rows=None):
     """Full crawl.  Returns dict with the records Dataset and metrics.
 
     Acquire the frontier and a pool of ``width`` workers
@@ -513,7 +510,6 @@ def run_crawl(images, seeds, politeness, *, num_partitions=4,
     offered = out.offered if out else None    # set: resume that crawl
     if offered is None:
         actors = start_frontier(politeness, num_partitions, salted_hosts,
-                                capacity_per_partition=frontier_capacity,
                                 spill_dir=spill_dir,
                                 spill_threshold_rows=spill_threshold_rows)
     else:

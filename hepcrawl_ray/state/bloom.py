@@ -1,18 +1,17 @@
 """Vectorized blocked Bloom filter over int64 keys (numpy bit array).
 
-The fast-negative layer of the frontier's URL-seen set.  The reference
-answers "have I downloaded this URL before?" with a sqlite point lookup
-per request (reference: hepcrawl/middlewares.py:101-155); at 10^10 URLs
-that is neither memory- nor IO-feasible, so each frontier partition
-holds a Bloom filter (this module) for fast negatives plus a cuckoo map
-(state/cuckoo.py) for exact membership + the timestamp re-crawl rule.
+The broadcast prefilter of ``ops.antijoin.bloom_anti_join``: a done-set
+too large to broadcast whole ships as this filter, so definite-new
+rows pass without a shuffle and only the hits are verified exactly.
+(The frontier's URL-seen set needs no filter in front: its sorted runs
+answer a miss as cheaply as a hit, see ``state.seen``.)
 
 Design: *register-blocked* Bloom — each key maps to ONE 64-bit word and
 sets ``k`` bits inside that word (bit positions derived from a second
 hash).  Adds and probes are a single numpy gather/scatter per key
 (vs. k scatters for a classic Bloom), which measures ~10x faster in
 this workload; the price is a slightly higher false-positive rate
-(~0.3-1% at 16 bits/key), which only costs extra cuckoo lookups, never
+(~0.3-1% at 16 bits/key), which only costs extra exact lookups, never
 correctness.  All operations are vectorized over numpy key arrays.
 """
 

@@ -1,4 +1,4 @@
-"""SeenSet = Bloom (fast negative) + CuckooMap (exact, timestamped).
+"""SeenSet: the URL-seen state as sorted int64 key/timestamp runs.
 
 Implements the reference crawl-once admission rule
 (reference: hepcrawl/middlewares.py:134-155):
@@ -9,28 +9,57 @@ Implements the reference crawl-once admission rule
   (the source was modified since we crawled it)
 
 One SeenSet per frontier partition; serializes into the partition
-checkpoint.  The admission decision is batch-vectorized: the Bloom
-filter resolves definite-negatives without touching the cuckoo map,
-only "maybe seen" keys pay the exact lookup.
+checkpoint.  Keys and timestamps live in two sorted int64 runs, a
+large base and a small delta, 16 B/key.  Membership is one
+``np.searchsorted`` per run; new keys merge into the delta, and the
+delta merges into the base once it passes ``1/_DELTA_SHARE`` of it,
+so a small seal copies the delta, not the whole set.  Every step is a
+numpy pass over the batch: no per-key Python, and no Bloom filter in
+front (a sorted run answers a miss as cheaply as a hit).
 """
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 
-from hepcrawl_ray.state.bloom import BloomFilter
-from hepcrawl_ray.state.cuckoo import CuckooMap
+# the delta merges into the base when it holds more than base/16 keys
+_DELTA_SHARE = 16
+
+_EMPTY = np.empty(0, dtype=np.int64)
+
+
+def _merge(run, keys, ts):
+    """A sorted (keys, timestamps) run plus sorted keys absent from it."""
+    at = np.searchsorted(run[0], keys)
+    return np.insert(run[0], at, keys), np.insert(run[1], at, ts)
 
 
 class SeenSet:
-    def __init__(self, capacity: int = 1 << 16, fpr: float = 0.01):
-        self.bloom = BloomFilter(capacity=capacity, fpr=fpr)
-        # cuckoo sized to full capacity: an undersized map forces a
-        # grow+rebuild in the middle of the first big seal
-        self.cuckoo = CuckooMap(capacity=max(1024, capacity))
+    def __init__(self, capacity: int = 0):
+        """``capacity`` is accepted and ignored (the runs grow with the
+        keys); perfbench's in-process ledger still passes it."""
+        self.base = (_EMPTY, _EMPTY)
+        self.delta = (_EMPTY, _EMPTY)
 
     def __len__(self) -> int:
-        return self.cuckoo.size
+        return len(self.base[0]) + len(self.delta[0])
+
+    def _lookup(self, keys: np.ndarray):
+        """Per key: found mask, stored timestamp, and its position in
+        the base and in the delta run (-1 where it is not there)."""
+        found = np.zeros(len(keys), dtype=bool)
+        stored = np.zeros(len(keys), dtype=np.int64)
+        where = []
+        for rk, rt in (self.base, self.delta):
+            pos = np.searchsorted(rk, keys)
+            hit = pos < len(rk)
+            hit[hit] = rk[pos[hit]] == keys[hit]
+            stored[hit] = rt[pos[hit]]
+            found |= hit
+            where.append(np.where(hit, pos, -1))
+        return found, stored, where
 
     def admit_many(self, keys: np.ndarray, timestamps: np.ndarray) -> np.ndarray:
         """Boolean admit mask, applying the crawl-once rule in row order.
@@ -40,94 +69,88 @@ class SeenSet:
         requests sequentially, so within-run duplicates are skipped —
         cf. the cross-set dedup at
         reference: hepcrawl/spiders/common/oaipmh_spider.py:216-227).
+        A row's recorded timestamp is the running maximum of the stored
+        one and its key's earlier rows: a skipped row never beats it,
+        and an admitted row raises it to its own.
         """
         keys = np.asarray(keys, dtype=np.int64)
         timestamps = np.asarray(timestamps, dtype=np.int64)
         n = len(keys)
-        admit = np.zeros(n, dtype=bool)
         if n == 0:
+            return np.zeros(0, dtype=bool)
+        order = np.argsort(keys)
+        ks = keys[order]
+        first = np.ones(n, dtype=bool)
+        first[1:] = ks[1:] != ks[:-1]
+        grp = np.cumsum(first) - 1
+        dups = not first.all()
+        if dups:
+            # the default argsort is not stable: put each key's rows
+            # back in row order (a sort of nearly sorted values)
+            order = order[np.argsort(grp * n + order, kind="stable")]
+        ts = timestamps[order]
+        uk = ks[first]
+        found, stored, where = self._lookup(uk)
+        ok = ~found[grp] | (stored[grp] < ts)
+        if dups:
+            # exclusive running max of the key's earlier rows, on dense
+            # timestamp ranks offset per key so one accumulate serves all
+            rank = np.unique(ts, return_inverse=True)[1].astype(np.int64)
+            span = int(rank.max()) + 1
+            run_max = np.maximum.accumulate(grp * span + rank) - grp * span
+            ok[1:] &= first[1:] | (run_max[:-1] < rank[1:])
+        admit = np.empty(n, dtype=bool)
+        admit[order] = ok
+
+        # record each admitted key's last admitted (= largest) timestamp
+        a = np.flatnonzero(ok)
+        if not len(a):
             return admit
-
-        maybe = self.bloom.contains_many(keys)
-        stored_found = np.zeros(n, dtype=bool)
-        stored_ts = np.zeros(n, dtype=np.int64)
-        if maybe.any():
-            idx = np.nonzero(maybe)[0]
-            f, v = self.cuckoo.get_many(keys[idx])
-            stored_found[idx], stored_ts[idx] = f, v
-
-        uniq, first_idx, counts = np.unique(keys, return_index=True, return_counts=True)
-        if not (counts > 1).any():
-            admit = ~stored_found | (stored_ts < timestamps)
-        else:
-            # Vectorized duplicate handling: group rows by key (stable
-            # sort).  Keys whose duplicates all share one timestamp
-            # behave like uniques (only the first occurrence can admit);
-            # only keys with MIXED timestamps need the sequential rule.
-            order = np.argsort(keys, kind="stable")
-            ks, ts_sorted = keys[order], timestamps[order]
-            starts = np.concatenate(([0], np.flatnonzero(np.diff(ks)) + 1))
-            key_max = np.maximum.reduceat(ts_sorted, starts)
-            key_min = np.minimum.reduceat(ts_sorted, starts)
-            first_mask = np.zeros(n, dtype=bool)
-            first_mask[order[starts]] = True
-            admit = first_mask & (~stored_found | (stored_ts < timestamps))
-            hetero = key_max != key_min
-            if hetero.any():
-                # sequential crawl-once rule, only over the mixed-ts rows
-                key_is_hetero = np.zeros(len(starts), dtype=bool)
-                key_is_hetero[hetero] = True
-                row_key_idx = np.zeros(n, dtype=np.int64)
-                row_key_idx[order] = np.repeat(
-                    np.arange(len(starts)),
-                    np.diff(np.concatenate((starts, [n]))))
-                hmask = key_is_hetero[row_key_idx]
-                idxs = np.nonzero(hmask)[0]
-                local_ts: dict[int, int] = {}
-                for i in idxs.tolist():
-                    k, t = int(keys[i]), int(timestamps[i])
-                    prev = local_ts.get(k)
-                    if prev is None:
-                        prev = int(stored_ts[i]) if stored_found[i] else None
-                    admit[i] = prev is None or prev < t
-                    if admit[i]:
-                        local_ts[k] = t
-        if admit.any():
-            ak = keys[admit]
-            self.bloom.add_many(ak)
-            self.cuckoo.set_many(ak, timestamps[admit])
+        ga = grp[a]
+        last = np.ones(len(a), dtype=bool)
+        last[:-1] = ga[1:] != ga[:-1]
+        g, new_ts = ga[last], ts[a[last]]
+        for run, pos in zip((self.base, self.delta), where):
+            p = pos[g]
+            hit = p >= 0
+            run[1][p[hit]] = new_ts[hit]
+        new = ~found[g]
+        if new.any():
+            self.delta = _merge(self.delta, uk[g[new]], new_ts[new])
+            if len(self.delta[0]) * _DELTA_SHARE > len(self.base[0]):
+                self._compact()
         return admit
 
-    def contains_many(self, keys: np.ndarray) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.int64)
-        maybe = self.bloom.contains_many(keys)
-        out = np.zeros(len(keys), dtype=bool)
-        if maybe.any():
-            idx = np.nonzero(maybe)[0]
-            out[idx] = self.cuckoo.contains_many(keys[idx])
-        return out
+    def _compact(self) -> None:
+        if len(self.delta[0]):
+            self.base = _merge(self.base, *self.delta)
+            self.delta = (_EMPTY, _EMPTY)
 
     def seen_keys(self) -> np.ndarray:
         """All seen keys (int64) — used by the seen-set equivalence oracle."""
-        m = self.cuckoo.used.ravel()
-        return self.cuckoo.keys.ravel()[m].view(np.int64)
+        return np.concatenate((self.base[0], self.delta[0]))
 
     # -- serialization -----------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        import pickle
-
-        return pickle.dumps(
-            {"bloom": self.bloom.to_bytes(), "cuckoo": self.cuckoo.to_bytes()},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        self._compact()
+        return pickle.dumps({"keys": self.base[0], "ts": self.base[1]},
+                            protocol=pickle.HIGHEST_PROTOCOL)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "SeenSet":
-        import pickle
-
+        """Also reads the earlier Bloom + cuckoo layout
+        (``{"bloom", "cuckoo"}``, the map's ``keys``/``vals`` taken
+        under ``used``), so checkpoints written before it restore."""
         d = pickle.loads(blob)
-        self = cls.__new__(cls)
-        self.bloom = BloomFilter.from_bytes(d["bloom"])
-        self.cuckoo = CuckooMap.from_bytes(d["cuckoo"])
+        if "cuckoo" in d:
+            c = pickle.loads(d["cuckoo"])
+            used = c["used"].ravel()
+            keys = c["keys"].ravel()[used].view(np.int64)
+            ts = c["vals"].ravel()[used]
+            order = np.argsort(keys)
+            d = {"keys": keys[order], "ts": ts[order]}
+        self = cls()
+        self.base = (np.array(d["keys"], dtype=np.int64),
+                     np.array(d["ts"], dtype=np.int64))
         return self

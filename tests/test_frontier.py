@@ -18,9 +18,11 @@ from hepcrawl_ray.sim import simulate
 
 def run_engine(seeds: pa.Table, politeness: pa.Table, num_partitions: int,
                salted_hosts=None, checkpoint_after_rounds=None,
-               checkpoint_dir=None):
+               checkpoint_dir=None, seals=1, edit_checkpoint=None):
     """Drive FrontierPartition objects directly (no Ray — the actor layer
-    adds no semantics; crawl_pipeline tests cover the Ray path)."""
+    adds no semantics; crawl_pipeline tests cover the Ray path).  Each
+    partition's offers go in ``seals`` consecutive pieces, each sealed;
+    ``edit_checkpoint(dir)`` runs between checkpoint and restore."""
     pol_rows = politeness.to_pylist() \
         if isinstance(politeness, pa.Table) else list(politeness)
     parts = [FrontierPartition(i, num_partitions, pol_rows,
@@ -33,20 +35,26 @@ def run_engine(seeds: pa.Table, politeness: pa.Table, num_partitions: int,
                                    offers.column("url_hash").to_numpy(),
                                    num_partitions, salted_hosts)
     for i, p in enumerate(parts):
-        p.offer(offers.filter(pa.array(part_ids == i)))
-        p.seal()
+        mine = offers.filter(pa.array(part_ids == i))
+        step = max(1, -(-mine.num_rows // seals))
+        for s in range(0, mine.num_rows, step):
+            p.offer(mine.slice(s, step))
+            p.seal()
     admitted = []
     if checkpoint_after_rounds is not None:
         for p in parts:
             admitted.append(p.drain(max_rounds=checkpoint_after_rounds))
             p.checkpoint(checkpoint_dir)
+        if edit_checkpoint is not None:
+            edit_checkpoint(checkpoint_dir)
         parts = [FrontierPartition.restore(checkpoint_dir, i)
                  for i in range(num_partitions)]
     for p in parts:
         admitted.append(p.drain())
     table = pa.concat_tables(admitted)
+    # url breaks the ties between a salted host's sub-queues
     order = table.sort_by([("round", "ascending"), ("host", "ascending"),
-                           ("pop_idx", "ascending")])
+                           ("pop_idx", "ascending"), ("url", "ascending")])
     seen = np.concatenate([p.seen_hashes() for p in parts])
     return order, set(seen.tolist()), parts
 
@@ -59,26 +67,123 @@ def fixture_tables():
     return images, seeds, politeness
 
 
+@pytest.fixture(scope="module")
+def six_hosts(fixture_tables):
+    """(seeds, politeness, salted hosts, seals per partition)"""
+    _, seeds, politeness = fixture_tables
+    return seeds, politeness, None, 1
+
+
+@pytest.fixture(scope="module")
+def many_hosts():
+    """1,200 hosts, three of them salted: k=2 and k=3 within their
+    concurrency, and k=3 above a concurrency of 2.  Every third host
+    has Allow rules that beat longer-matching Disallow ones, one in ten
+    runs on the default budget, ~12% of rows re-offer an earlier URL
+    with an older, equal or newer mtime (some as non-canonical
+    variants), and ~10% of URLs share (priority, seq) with the next
+    one, which sorts after it — the tie the seal's grouping must keep
+    in row order.  Offered in 3 seals per partition."""
+    rng = np.random.default_rng(29)
+    hosts = [f"m{k:04d}.example.net" for k in range(1200)]
+    salted = {hosts[0]: 2, hosts[1]: 3, hosts[2]: 3}
+    conc = {hosts[0]: 4, hosts[1]: 5, hosts[2]: 2}
+    pol = []
+    for k, h in enumerate(hosts):
+        if k % 10 == 9:
+            continue
+        ruled = k % 3 == 0
+        pol.append({"host": h,
+                    "max_concurrency": conc.get(h, int(rng.integers(1, 4))),
+                    "min_delay_ms": int(rng.choice([0, 100, 250])),
+                    "robots_disallow": ["/private/", "/*.pdf$"] if ruled
+                    else [],
+                    "robots_allow": ["/private/pub", "/docs/*.pdf$"]
+                    if ruled else []})
+    paths = ["/a/{}", "/private/{}", "/private/pub/{}", "/docs/{}.pdf",
+             "/x/{}.pdf"]
+    weight = np.ones(len(hosts))
+    weight[:3] = 400.0
+    host_idx = rng.choice(len(hosts), 9000, p=weight / weight.sum())
+    rows, seq = [], 0
+    for i, k in enumerate(host_idx.tolist()):
+        url = f"http://{hosts[k]}" + paths[int(rng.integers(5))].format(i)
+        prio = float(rng.choice([0.0, 0.0, 1.0, -1.0]))
+        rows.append((url, prio, seq, 1000))
+        if rng.random() < 0.1:
+            rows.append((url + "z", prio, seq, 1000))
+        if rows and rng.random() < 0.12:
+            u, p, _, m = rows[int(rng.integers(len(rows)))]
+            if rng.random() < 0.2:
+                u = u.replace("http://m", "HTTP://M", 1)
+            rows.append((u, p, seq + 1, m + int(rng.integers(-1, 3))))
+            seq += 1
+        seq += 1
+    seeds = pa.table(dict(zip(["url", "priority", "seq", "mtime"],
+                              map(list, zip(*rows)))))
+    return seeds, pol, salted, 3
+
+
+def expected_order(seeds, politeness, salted_hosts=None):
+    """``sim.simulate``'s schedule as (round, host, url, seq) rows in
+    the engine's (round, host, pop_idx, url) order, and its seen set.
+    A host salted k ways is k queues with a concurrency share each
+    (``FrontierPartition._share_for``); each queue's schedule is the
+    spec's schedule over its own rows at that share."""
+    import collections
+
+    rows = seeds.to_pylist()
+    pol = politeness.to_pylist() if isinstance(politeness, pa.Table) \
+        else list(politeness)
+    ref = simulate(rows, pol)
+    salted = {h: k for h, k in (salted_hosts or {}).items() if k > 1}
+    runs = [[a for a in ref.admissions if a[1] not in salted]]
+    budget = {p["host"]: p for p in pol}
+    canon = [urlkit.canonicalize_url(r["url"]) for r in rows]
+    for h, k in salted.items():
+        mine = [(r, urlkit.url_hash64(c) % k) for r, c in zip(rows, canon)
+                if urlkit.host_of(c) == h]
+        row = budget.get(h, {"host": h, "max_concurrency": 2,
+                             "min_delay_ms": 0})
+        c = row["max_concurrency"]
+        for sub in range(k):
+            share = max(1, c // k + (sub < c % k))
+            runs.append(simulate([r for r, s in mine if s == sub],
+                                 [{**row, "max_concurrency": share}])
+                        .admissions)
+    keyed = []
+    for adm in runs:
+        pops = collections.Counter()
+        for r, h, u, s, _p, _m in adm:
+            keyed.append(((r, h, pops[r, h], u), (r, h, u, s)))
+            pops[r, h] += 1
+    return [v for _, v in sorted(keyed)], ref.seen_hashes
+
+
 def sim_result(seeds, politeness):
     return simulate(seeds.to_pylist(), politeness.to_pylist())
 
 
 class TestOrderingEquivalence:
-    @pytest.mark.parametrize("num_partitions", [1, 2, 4, 7])
-    def test_order_and_seen_match_sim(self, fixture_tables, num_partitions):
-        _, seeds, politeness = fixture_tables
-        ref = sim_result(seeds, politeness)
-        order, seen, parts = run_engine(seeds, politeness, num_partitions)
+    @pytest.mark.parametrize(
+        "case,num_partitions",
+        [("six_hosts", 1), ("six_hosts", 2), ("six_hosts", 4),
+         ("six_hosts", 7), ("many_hosts", 1), ("many_hosts", 4)],
+        ids=["1", "2", "4", "7", "many_hosts-1", "many_hosts-4"])
+    def test_order_and_seen_match_sim(self, request, case, num_partitions):
+        seeds, politeness, salted, seals = request.getfixturevalue(case)
+        want, want_seen = expected_order(seeds, politeness, salted)
+        order, seen, parts = run_engine(seeds, politeness, num_partitions,
+                                        salted_hosts=salted, seals=seals)
 
         got = list(zip(order.column("round").to_pylist(),
                        order.column("host").to_pylist(),
                        order.column("url").to_pylist(),
                        order.column("seq").to_pylist()))
-        want = [(r, h, u, s) for (r, h, u, s, _p, _m) in ref.admissions]
         assert got == want, (
             f"admission order diverged at P={num_partitions}: "
             f"first diff {next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), '?')}")
-        assert seen == ref.seen_hashes
+        assert seen == want_seen
 
     def test_drop_metrics_match_sim(self, fixture_tables):
         _, seeds, politeness = fixture_tables
@@ -265,6 +370,57 @@ class TestResume:
             checkpoint_after_rounds=2, checkpoint_dir=str(tmp_path))
         assert full.equals(resumed), "resume-from-checkpoint diverged"
         assert seen_full == seen_resumed
+
+    def test_restores_a_bloom_cuckoo_checkpoint(self, fixture_tables,
+                                                tmp_path):
+        """A checkpoint written before the seen set became sorted runs
+        holds it as a pickled ``{"bloom", "cuckoo"}`` pair: a Bloom
+        filter's bytes and a cuckoo map's (``nbuckets``, ``size``,
+        ``rng``, and (nbuckets, 4) ``keys`` (uint64) / ``vals`` /
+        ``used`` slot arrays).  Restored, it drains the uninterrupted
+        schedule and keeps every key's timestamp."""
+        import pickle
+
+        from hepcrawl_ray.state import BloomFilter
+
+        def to_bloom_cuckoo(root):
+            for i in range(3):
+                path = root / f"part={i}" / "state.pkl"
+                state = pickle.loads(path.read_bytes())
+                seen = pickle.loads(state["seen"])
+                keys, ts = seen["keys"], seen["ts"]
+                bloom = BloomFilter(capacity=1 << 17, fpr=0.01)
+                bloom.add_many(keys)
+                nb = 1 << max(3, len(keys).bit_length() - 1)
+                slots = np.random.default_rng(i).permutation(nb * 4)
+                k, v = np.zeros(nb * 4, np.uint64), np.zeros(nb * 4, np.int64)
+                used = np.zeros(nb * 4, bool)
+                at = slots[:len(keys)]
+                k[at], v[at], used[at] = keys.view(np.uint64), ts, True
+                cuckoo = {"nbuckets": nb, "size": len(keys),
+                          "rng": 0x853C49E6748FEA9B, "keys": k.reshape(nb, 4),
+                          "vals": v.reshape(nb, 4),
+                          "used": used.reshape(nb, 4)}
+                state["seen"] = pickle.dumps(
+                    {"bloom": bloom.to_bytes(),
+                     "cuckoo": pickle.dumps(cuckoo, protocol=5)},
+                    protocol=5)
+                path.write_bytes(pickle.dumps(state, protocol=5))
+
+        _, seeds, politeness = fixture_tables
+        full, seen_full, full_parts = run_engine(seeds, politeness, 3)
+        resumed, seen_resumed, parts = run_engine(
+            seeds, politeness, 3, checkpoint_after_rounds=2,
+            checkpoint_dir=tmp_path, edit_checkpoint=to_bloom_cuckoo)
+        assert full.equals(resumed), "resume-from-checkpoint diverged"
+        assert seen_full == seen_resumed
+
+        def keys_and_times(part):
+            d = pickle.loads(part.seen.to_bytes())
+            return d["keys"].tolist(), d["ts"].tolist()
+
+        assert [keys_and_times(p) for p in parts] == \
+            [keys_and_times(p) for p in full_parts]
 
 
 class TestPoliteness:

@@ -1,6 +1,6 @@
 import numpy as np
 
-from hepcrawl_ray.state import BloomFilter, CuckooMap, SeenSet
+from hepcrawl_ray.state import BloomFilter, SeenSet
 
 rng = np.random.default_rng(42)
 
@@ -32,52 +32,6 @@ class TestBloom:
         bf = BloomFilter(capacity=100)
         assert bf.contains_many(np.array([], dtype=np.int64)).shape == (0,)
         assert not bf.contains_many(np.array([123], dtype=np.int64))[0]
-
-
-class TestCuckoo:
-    def test_set_get_delete(self):
-        cm = CuckooMap(capacity=1024)
-        keys = rng.integers(-(2**62), 2**62, size=800, dtype=np.int64)
-        keys = np.unique(keys)
-        vals = np.arange(len(keys), dtype=np.int64)
-        cm.set_many(keys, vals)
-        found, got = cm.get_many(keys)
-        assert found.all()
-        assert (got == vals).all()
-        assert cm.delete(int(keys[0]))
-        assert not cm.delete(int(keys[0]))
-        found, _ = cm.get_many(keys[:1])
-        assert not found[0]
-
-    def test_overwrite(self):
-        cm = CuckooMap(capacity=64)
-        cm.set(5, 10)
-        cm.set(5, 99)
-        found, v = cm.get_many(np.array([5], dtype=np.int64))
-        assert found[0] and v[0] == 99
-        assert cm.size == 1
-
-    def test_grow_under_pressure(self):
-        cm = CuckooMap(capacity=8)  # tiny — forces growth
-        keys = np.unique(rng.integers(0, 2**62, size=5000, dtype=np.int64))
-        cm.set_many(keys, keys)
-        found, got = cm.get_many(keys)
-        assert found.all() and (got == keys).all()
-
-    def test_absent(self):
-        cm = CuckooMap(capacity=128)
-        cm.set_many(np.arange(50, dtype=np.int64), np.arange(50, dtype=np.int64))
-        found, _ = cm.get_many(np.arange(100, 200, dtype=np.int64))
-        assert not found.any()
-
-    def test_roundtrip(self):
-        cm = CuckooMap(capacity=256)
-        keys = np.arange(200, dtype=np.int64) * 31 - 3000
-        cm.set_many(keys, keys * 2)
-        cm2 = CuckooMap.from_bytes(cm.to_bytes())
-        found, got = cm2.get_many(keys)
-        assert found.all() and (got == keys * 2).all()
-        assert cm2.size == cm.size
 
 
 class TestSeenSet:
@@ -115,3 +69,33 @@ class TestSeenSet:
         assert ss.admit_many(keys, ts).all()
         assert not ss.admit_many(keys, ts).any()
         assert len(ss) == len(keys)
+
+    def test_small_batches_merge_into_the_base(self):
+        """Many small admits on a large set: new keys go to the delta
+        run, which merges into the base once it passes its share, and
+        lookups see both runs."""
+        ss = SeenSet()
+        big = np.unique(rng.integers(-(2**62), 2**62, 20_000, dtype=np.int64))
+        assert ss.admit_many(big, np.zeros(len(big), dtype=np.int64)).all()
+        model = dict.fromkeys(big.tolist(), 0)
+        merges = 0
+        for step in range(60):
+            keys = np.concatenate([
+                rng.integers(-(2**62), 2**62, 50, dtype=np.int64),
+                rng.choice(np.array(list(model), dtype=np.int64), 50)])
+            ts = rng.integers(-1, 3, len(keys)).astype(np.int64)
+            want = []
+            for k, t in zip(keys.tolist(), ts.tolist()):
+                ok = k not in model or model[k] < t
+                if ok:
+                    model[k] = t
+                want.append(ok)
+            before = len(ss.delta[0])
+            assert ss.admit_many(keys, ts).tolist() == want
+            merges += len(ss.delta[0]) < before
+            assert len(ss.delta[0]) * 16 <= len(ss.base[0])
+            assert len(ss) == len(model)
+        assert merges > 0
+        got = dict(zip(ss.seen_keys().tolist(),
+                       np.concatenate([ss.base[1], ss.delta[1]]).tolist()))
+        assert got == model

@@ -44,6 +44,20 @@ def _slow_politeness(politeness):
     }, schema=synth.POLITENESS_SCHEMA)
 
 
+def _live_actors():
+    """(class, CPU) of every live actor of the session, from the GCS
+    actor table (``ray.util.state.list_actors`` needs the dashboard,
+    which the test session does not start)."""
+    from ray._private.state import state
+    from ray.core.generated import gcs_pb2
+
+    rows = [gcs_pb2.ActorTableData.FromString(raw)
+            for raw in state.global_state_accessor.get_actor_table(
+                None, "ALIVE")]
+    return sorted((a.class_name, a.required_resources.get("CPU", 0.0))
+                  for a in rows)
+
+
 def _order(table):
     t = table.sort_by(ORDER)
     return list(zip(*(t.column(c).to_pylist()
@@ -256,7 +270,8 @@ class TestIterativeReuse:
         # other work of this session may still be winding down
         deadline = time.monotonic() + 60
         while ray.available_resources().get("CPU", 0.0) < floor - 1e-6:
-            assert time.monotonic() < deadline, ray.available_resources()
+            assert time.monotonic() < deadline, (
+                ray.available_resources(), "live actors:", _live_actors())
             time.sleep(0.1)
         one_cpu = ray.remote(num_cpus=1)(lambda: 7)
         assert ray.get(one_cpu.remote(), timeout=60) == 7
