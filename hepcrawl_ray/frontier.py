@@ -223,12 +223,6 @@ def parse_robots_rules(text: str, user_agent: str = "*") \
     return tuple(disallow), tuple(allow)
 
 
-def parse_robots_txt(text: str, user_agent: str = "*") -> tuple[str, ...]:
-    """Disallow patterns only (back-compat wrapper over
-    :func:`parse_robots_rules`)."""
-    return parse_robots_rules(text, user_agent)[0]
-
-
 def robots_pattern_to_regex(pattern: str) -> str:
     """RFC 9309 path pattern -> anchored RE2 regex string.
 
@@ -530,12 +524,9 @@ class FrontierPartition:
         import pyarrow.parquet as pq
 
         segs = [pq.read_table(self._spill_path(n)) for n in q["spill"]]
-        body = pa.concat_tables([q["rows"].slice(q["cursor"])] + segs)
-        neg_p = pc.negate(body.column("priority"))
-        body = (body.append_column("_negp", neg_p)
-                .sort_by([("_negp", "ascending"), ("seq", "ascending")])
-                .drop(["_negp"]))
-        q["rows"], q["cursor"] = body, 0
+        q["rows"] = _by_key(pa.concat_tables(
+            [q["rows"].slice(q["cursor"])] + segs))
+        q["cursor"] = 0
         q["spill"], q["spilled_rows"], q["boundary"] = [], 0, None
         self.metrics["spill_reloads"] += 1
 
@@ -552,10 +543,7 @@ class FrontierPartition:
             if q["cursor"] < q["rows"].num_rows:
                 rows = pa.concat_tables([q["rows"].slice(q["cursor"]),
                                          rows])
-        neg_p = pc.negate(rows.column("priority"))
-        rows = rows.append_column("_negp", neg_p)
-        rows = rows.sort_by([("_negp", "ascending"), ("seq", "ascending")])
-        rows = rows.drop(["_negp"])
+        rows = _by_key(rows)
         if boundary is not None and rows.num_rows:
             hot_mask = self._key_before(rows, boundary)
             if not hot_mask.all():
@@ -795,6 +783,13 @@ class FrontierPartition:
         self.spill_threshold = state.get("spill_threshold")
         self._spill_seq = state.get("spill_seq", 0)
         return self
+
+
+def _by_key(rows: pa.Table) -> pa.Table:
+    """``rows`` in queue order: (-priority, seq), stable."""
+    rows = rows.append_column("_negp", pc.negate(rows.column("priority")))
+    return rows.sort_by([("_negp", "ascending"),
+                         ("seq", "ascending")]).drop(["_negp"])
 
 
 def _table_to_bytes(t: pa.Table) -> bytes:

@@ -8,13 +8,13 @@ parquet row groups) to the pool's first actors, which compute crawl
 identity (``canonicalize_batch``) and return one slice per partition;
 each partition takes its slices as the arguments of one offer call
 (Exoshuffle's map/reduce shape: only the driver calls a partition),
-the partitions seal + drain the full admission schedule in parallel
-virtual time, and the same pool turns each admissions block into a
-records block with the fused fetch+parse stage.  Routing ends before
-the drain and fetching starts after it, so the two never wait on one
-another.  An iterative crawl's blocks go by reference to the workers,
-and the driver waits only on each drain's metadata
-(:func:`run_iterative_crawl`).
+the partitions seal, then drain their admission schedules in parallel
+rounds of ``batch_size`` chunks, and the same pool turns each chunk
+into records with the fused fetch+parse stage as soon as its round's
+metadata is in (:func:`_stream`).  Routing ends before the drain, so
+the two jobs never wait on one another.  An iterative crawl's blocks
+go by reference to the workers, and the driver waits only on each
+drain's metadata (:func:`run_iterative_crawl`).
 
 Scale notes (design for 256 nodes / 100 TB, tested single-node):
 
@@ -31,16 +31,20 @@ Scale notes (design for 256 nodes / 100 TB, tested single-node):
   start-up again (``_WarmActors``).
 - With ``output_dir`` the fetch+parse actors write the records as
   resumable chunk files (``pipelines.sink``), never into the object
-  store; the frontier checkpoints under ``checkpoint_dir``.
+  store, and no drain round starts while more than
+  ``WRITES_PER_ACTOR`` per actor are unfinished; the frontier
+  checkpoints under ``checkpoint_dir``.
 """
 
 from __future__ import annotations
 
+import collections
 import glob
 import json
 import os
 import shutil
 import threading
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -289,26 +293,30 @@ def drain_admissions_chunked(actors, target_rows=1 << 18, seal=False):
     ``target_rows``: ties between partitions keep actor order, and
     ties inside one partition fall in the same chunk (a chunk is a
     round range), where queues keep their sorted order."""
-    import ray
-
     if seal:
         raise ValueError("drain_admissions_chunked drains a sealed "
                          "frontier; seal first and pass seal=False")
-    blocks = [[] for _ in actors]
-    metas = [[] for _ in actors]
+    # a stable sort: partition-major, each partition's in drain order
+    chunks = sorted(_drain_rounds(actors, target_rows), key=lambda c: c[0])
+    return admissions_dataset([b for _, b, _ in chunks],
+                              [m for _, _, m in chunks])
+
+
+def _drain_rounds(actors, target_rows):
+    """Drain SEALED ``actors`` in rounds of one ``drain_block`` call per
+    partition with rows pending, waiting only on their metadata; yields
+    each chunk's ``(partition, block ref, (num_rows, size_bytes,
+    pending))``.  A chunk depends only on its own partition's state."""
+    import ray
+
     live = list(range(len(actors)))
     while live:
         refs = [actors[i].drain_block.options(num_returns=2)
                 .remote(target_rows) for i in live]
-        # a chunk's meta ends with the partition's pending rows after
-        # it; finished partitions drop out of the next round
-        got = ray.get([m for _, m in refs])
-        for i, (block, _), m in zip(live, refs, got):
-            blocks[i].append(block)
-            metas[i].append(m)
-        live = [i for i, m in zip(live, got) if m[2] > 0]
-    return admissions_dataset([r for bs in blocks for r in bs],
-                              [m for ms in metas for m in ms])
+        metas = ray.get([m for _, m in refs])
+        yield from ((i, b, m) for i, (b, _), m in zip(live, refs, metas))
+        # a chunk's meta ends with the partition's pending rows after it
+        live = [i for i, m in zip(live, metas) if m[2] > 0]
 
 
 def admissions_dataset(blocks, metas, schema=ADMIT_SCHEMA):
@@ -421,23 +429,6 @@ def acquire_pool(width, num_partitions=1, salted_hosts=None,
     return _WARM.acquire(_FetchParseWorker, [(args, {})] * width)
 
 
-def _assign(admissions_ds, batch_size, pool, load):
-    """Per admissions block, its ``(actor, ref, start, rows, metadata)``
-    slices (:func:`fetch_and_parse`); ``load``: rows per actor so far."""
-    out = []
-    for ref, m in admissions_ds._plan.execute().blocks:
-        # a drain chunk a few rows over batch_size stays one call
-        k = max(1, round(m.num_rows / batch_size))
-        cuts = [m.num_rows * i // k for i in range(k + 1)]
-        out.append([])
-        for s, e in zip(cuts, cuts[1:]):
-            if e > s:
-                a = load.index(min(load))   # the actor with fewest rows
-                load[a] += e - s
-                out[-1].append((pool[a], ref, s, e - s, m))
-    return out
-
-
 def fetch_and_parse(admissions_ds, images, *, fetch_concurrency=4,
                     parse_concurrency=4, batch_size=1024,
                     verify_pixels=True, drop_bytes=False, pool=None):
@@ -469,16 +460,13 @@ def fetch_and_parse(admissions_ds, images, *, fetch_concurrency=4,
     pool = pool or acquire_pool(
         max(fetch_concurrency, parse_concurrency), images=images,
         verify_pixels=verify_pixels, drop_bytes=drop_bytes)
-    pieces = [p for ps in _assign(admissions_ds, batch_size, pool,
-                                  [0] * len(pool)) for p in ps]
-    outs = [a.run.remote(ref, s, n) for a, ref, s, n, _ in pieces]
+    records = _stream(((0, ref, (m.num_rows, m.size_bytes or 0))
+                       for ref, m in admissions_ds._plan.execute().blocks),
+                      pool, batch_size,
+                      FetchParseStage.output_schema(images, drop_bytes))
     if own:
         _WARM.release([(_FetchParseWorker, pool)])
-    # size_bytes: the admissions' share (a lower bound, for estimates)
-    return admissions_dataset(
-        outs, [(n, (m.size_bytes or 0) * n // m.num_rows)
-               for _, _, _, n, m in pieces],
-        FetchParseStage.output_schema(images, drop_bytes))
+    return records
 
 
 def run_crawl(images, seeds, politeness, *, num_partitions=4,
@@ -491,16 +479,16 @@ def run_crawl(images, seeds, politeness, *, num_partitions=4,
     (:func:`acquire_pool`), offer the seeds through the pool's first
     ``N_DISCOVER_WORKERS``, seal once, checkpoint the sealed frontier
     if ``checkpoint_dir`` is set, then drain admissions in
-    ``batch_size`` chunks (:func:`drain_admissions_chunked`) into the
-    same pool (:func:`fetch_and_parse`).  All actors are released, not
-    killed, so the next crawl in this Ray session starts on warm ones;
-    this returns before the records are computed.
+    ``batch_size`` chunks straight into the same pool (:func:`_stream`).
+    All actors are released, not killed, so the next crawl in this Ray
+    session starts on warm ones; this returns before the records are
+    computed.
 
-    With ``output_dir`` the pool writes them as chunk files
-    (:func:`_write_chunks`), and this returns a Dataset over them once
-    all are committed.  A committed crawl there is resumed: the
-    frontier is restored from ``checkpoint_dir`` and drained again,
-    and only what is not committed is written."""
+    With ``output_dir`` the pool writes them as chunk files, and this
+    returns a Dataset over them once all are committed.  A committed
+    crawl there is resumed: the frontier is restored from
+    ``checkpoint_dir`` and drained again, and only what is not
+    committed is written."""
     import ray
 
     out = None if not output_dir else sink.ChunkOutput(
@@ -524,20 +512,14 @@ def run_crawl(images, seeds, politeness, *, num_partitions=4,
             if checkpoint_dir:
                 ray.get([a.checkpoint.remote(checkpoint_dir)
                          for a in actors])
-        if out is None:
-            admissions = drain_admissions_chunked(
-                actors, target_rows=batch_size, seal=False)
-            records = fetch_and_parse(admissions, images,
-                                      batch_size=batch_size,
-                                      drop_bytes=drop_bytes, pool=pool)
-        else:
+        if out:
             # after acquire_pool waited out an earlier crawl's writes
             out.start(offered)
-            _write_chunks(actors, pool, out, batch_size)
-            records = sink.read_output(output_dir)
-            if records is None:       # nothing admitted
-                records = admissions_dataset([], [], FetchParseStage
-                                             .output_schema(images, drop_bytes))
+        records = _stream(_drain_rounds(actors, batch_size), pool,
+                          batch_size, FetchParseStage.output_schema(
+                              images, drop_bytes), out)
+        if out:     # the files, or no rows when nothing was admitted
+            records = sink.read_output(output_dir) or records
         metrics = ray.get([a.get_metrics.remote() for a in actors])
     finally:
         # on an error too: a dead actor is replaced when next acquired
@@ -545,28 +527,59 @@ def run_crawl(images, seeds, politeness, *, num_partitions=4,
     return {"records": records, "metrics": metrics, "offered": offered}
 
 
-def _write_chunks(actors, pool, out, batch_size):
-    """Drain each partition in ``batch_size`` chunks; the pool writes
-    each slice ``out`` (``sink.ChunkOutput``) has not committed, and
-    the row counts are committed as they come back."""
+# with output_dir, a drain round starts only while at most this many
+# writes per pool actor are unfinished (bounds the admissions held)
+WRITES_PER_ACTOR = 2
+
+
+def _stream(chunks, pool, batch_size, schema, out=None):
+    """Hand each ``(partition, block ref, (rows, size_bytes, ...))`` of
+    ``chunks`` to ``pool`` as it comes, in round(rows / ``batch_size``)
+    near-equal slices (at least one), each to the actor given the
+    fewest rows so far.  Without ``out``, ``run`` them; returns the
+    ``schema`` records Dataset over the result refs, partition-major,
+    without waiting on them.  With ``out`` (``sink.ChunkOutput``),
+    write those not committed (slice ``i`` of a partition's ``c``-th
+    chunk to ``out.path(pid, c, i)``), commit them at most once a
+    second and at the end, and return an empty Dataset."""
     import ray
 
-    load, running = [0] * len(pool), {}
-    for pid, actor in enumerate(actors):
-        blocks = _assign(drain_admissions_chunked([actor], batch_size),
-                         batch_size, pool, load)
-        for c, pieces in enumerate(blocks):
-            for i, (a, ref, start, n, _) in enumerate(pieces):
-                path = out.path(pid, c, i)
-                if path:
-                    running[a.write.remote(ref, start, n, path)] = path
-    out.commit([], complete=not running)
-    while running:
-        # one manifest replace per second at most, and at the end
+    load, runs, running = [0] * len(pool), {}, {}   # running: ref -> path
+    drains, written, last = collections.Counter(), [], time.monotonic()
+
+    def settle(limit, complete=False):
+        nonlocal written, last
+        if len(running) > limit:
+            ray.wait(list(running), num_returns=len(running) - limit)
         ready, _ = ray.wait(list(running), num_returns=len(running),
-                            timeout=1.0)
-        written = [(running.pop(r), n) for r, n in zip(ready, ray.get(ready))]
-        out.commit(written, complete=not running)
+                            timeout=0)
+        written += [(running.pop(r), n) for r, n in zip(ready, ray.get(ready))]
+        if complete or written and time.monotonic() - last >= 1.0:
+            out.commit(written, complete)
+            written, last = [], time.monotonic()
+
+    for pid, ref, (rows, size_bytes, *_) in chunks:
+        c, done = drains[pid], runs.setdefault(pid, [])
+        drains[pid] += 1
+        # a drain chunk a few rows over batch_size stays one call
+        k = max(1, round(rows / batch_size))
+        cuts = [rows * i // k for i in range(k + 1)]
+        slices = [(s, e - s) for s, e in zip(cuts, cuts[1:]) if e > s]
+        for i, (s, n) in enumerate(slices):
+            a = load.index(min(load))
+            load[a] += n
+            if out is None:     # size: the admissions' share, a lower bound
+                done.append((pool[a].run.remote(ref, s, n),
+                             (n, size_bytes * n // rows)))
+            elif path := out.path(pid, c, i):
+                running[pool[a].write.remote(ref, s, n, path)] = path
+        if out:
+            settle(WRITES_PER_ACTOR * len(pool))
+    if out:
+        settle(0, complete=True)
+    runs = [r for pid in sorted(runs) for r in runs[pid]]
+    return admissions_dataset([r for r, _ in runs], [m for _, m in runs],
+                              schema)
 
 
 def _iter_checkpoint(actors, checkpoint_dir, gen, segments, tables):

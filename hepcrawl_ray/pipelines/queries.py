@@ -776,25 +776,35 @@ def _crawl_tables_impl(n: int):
     return images, golden, seeds, politeness
 
 
-def q_crawl_admissions(sf_dir: str):
-    """Full admission schedule of the flagship crawl (ordering oracle
-    lives in tests vs the pure-Python simulator)."""
+def _crawl_schedule(sf_dir: str, num_partitions: int, method=None):
+    """The flagship crawl's schedule alone: its seeds offered, sealed
+    and fully drained on fresh frontier partitions.  Returns the
+    drained tables and, with ``method``, each partition's ``method()``
+    after the drain; the actors are released, on an error too."""
     import ray
 
     from hepcrawl_ray.pipelines import crawl as cp
 
-    images, _, seeds, politeness = _crawl_tables(sf_dir)
-    actors = cp.start_frontier(politeness.to_pylist(), num_partitions=2)
+    _, _, seeds, politeness = _crawl_tables(sf_dir)
+    actors = cp.start_frontier(politeness.to_pylist(), num_partitions)
     # the width of q_crawl_records' pool: the crawls reuse one another's
-    workers = cp.acquire_pool(2, 2)
-    cp.offer_seeds(actors, seeds, 2, workers=workers)
-    # seal BEFORE drain: offers stay buffered until seal and drain only
-    # walks sealed queues (frontier.py); same pattern as run_crawl and
-    # q_crawl_seen_set.
-    ray.get([a.seal.remote() for a in actors])
-    admissions = pa.concat_tables(
-        ray.get([a.drain.remote(None) for a in actors]))
-    cp.release_frontier(actors, workers)
+    workers = cp.acquire_pool(2, num_partitions)
+    try:
+        cp.offer_seeds(actors, seeds, num_partitions, workers=workers)
+        # seal BEFORE drain: offers stay buffered until seal and drain
+        # only walks sealed queues (frontier.py), as in run_crawl
+        ray.get([a.seal.remote() for a in actors])
+        drained = ray.get([a.drain.remote(None) for a in actors])
+        return drained, method and ray.get(
+            [getattr(a, method).remote() for a in actors])
+    finally:
+        cp.release_frontier(actors, workers)
+
+
+def q_crawl_admissions(sf_dir: str):
+    """Full admission schedule of the flagship crawl (ordering oracle
+    lives in tests vs the pure-Python simulator)."""
+    admissions = pa.concat_tables(_crawl_schedule(sf_dir, 2)[0])
     return admissions.sort_by([("round", "ascending"), ("host", "ascending"),
                                ("pop_idx", "ascending")])
 
@@ -860,18 +870,7 @@ def q_crawl_metrics(sf_dir: str):
     (analog: close-log counters + error accumulation, reference:
     hepcrawl/pipelines.py:105-153, extensions.py:29-36) — the skew /
     drop evidence a 10^10-URL run is monitored by."""
-    import ray
-
-    from hepcrawl_ray.pipelines import crawl as cp
-
-    _, _, seeds, politeness = _crawl_tables(sf_dir)
-    actors = cp.start_frontier(politeness.to_pylist(), num_partitions=4)
-    workers = cp.acquire_pool(2, 4)
-    cp.offer_seeds(actors, seeds, 4, workers=workers)
-    ray.get([a.seal.remote() for a in actors])
-    ray.get([a.drain.remote(None) for a in actors])
-    metrics = ray.get([a.get_metrics.remote() for a in actors])
-    cp.release_frontier(actors, workers)
+    metrics = _crawl_schedule(sf_dir, 4, "get_metrics")[1]
     cols = ("offered", "dropped_robots", "dropped_dup",
             "admitted_to_queue", "drained")
     return pa.table({
@@ -1100,7 +1099,7 @@ ORACLE_SQL = {
     """,
     "dedup_ngram_jaccard": """
         WITH toks AS (
-            SELECT doc_id, regexp_split_to_array(trim(text), '\\s+') AS t
+            SELECT doc_id, regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'), '\\s+') AS t
             FROM documents),
         sh AS (
             SELECT DISTINCT doc_id, t[i] || ' ' || t[i+1] || ' ' || t[i+2] AS s
@@ -1147,11 +1146,11 @@ ORACLE_SQL = {
     """,
     "text_token_stats": f"""
         SELECT doc_id,
-               CASE WHEN trim(text) = '' THEN 0
-                    ELSE len(regexp_split_to_array(trim(text), '\\s+'))
+               CASE WHEN trim(text, ' \t\n\x0b\f\r') = '' THEN 0
+                    ELSE len(regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'), '\\s+'))
                END AS n_tokens,
                length(regexp_replace(text, '\\s', '', 'g')) AS chars_no_ws,
-               len(list_filter(regexp_split_to_array(lower(trim(text)), '\\s+'),
+               len(list_filter(regexp_split_to_array(lower(trim(text, ' \t\n\x0b\f\r')), '\\s+'),
                                x -> x IN ('{_STOP_SQL}'))) AS n_stopwords,
                CAST(regexp_matches(text, '[0-9]') AS BIGINT) AS has_digits
         FROM documents
@@ -1163,8 +1162,8 @@ ORACLE_SQL = {
 # One source of truth for dedup_components and dedup_cluster_sizes.
 _NEARDUP_ROOTS_SQL = """
     WITH RECURSIVE toks AS (
-        SELECT doc_id, regexp_split_to_array(trim(text), '\\s+') AS t
-        FROM documents WHERE trim(text) <> ''),
+        SELECT doc_id, regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'), '\\s+') AS t
+        FROM documents WHERE trim(text, ' \t\n\x0b\f\r') <> ''),
     sh AS (
         SELECT DISTINCT doc_id, t[i] || ' ' || t[i+1] || ' ' || t[i+2] AS s
         FROM toks, UNNEST(range(1, len(t) - 1)) AS r(i)),
@@ -1971,9 +1970,9 @@ ORACLE_SQL.update({
     "corpus_clean_pipeline": """
         WITH gated AS (
             SELECT doc_id, lang, text,
-                   len(regexp_split_to_array(trim(text), '\\s+')) AS n_tokens
+                   len(regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'), '\\s+')) AS n_tokens
             FROM documents
-            WHERE lang IN ('en', 'de') AND trim(text) <> ''
+            WHERE lang IN ('en', 'de') AND trim(text, ' \t\n\x0b\f\r') <> ''
         )
         SELECT min(doc_id) AS doc_id, lang, n_tokens
         FROM gated WHERE n_tokens >= 20
@@ -1981,7 +1980,7 @@ ORACLE_SQL.update({
     """,
     "top_ngrams": """
         WITH toks AS (
-            SELECT doc_id, regexp_split_to_array(trim(text), '\\s+') AS t
+            SELECT doc_id, regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'), '\\s+') AS t
             FROM documents),
         sh AS (
             SELECT DISTINCT doc_id, t[i] || ' ' || t[i+1] || ' ' || t[i+2] AS s
@@ -2362,18 +2361,7 @@ def q_crawl_seen_set(sf_dir: str):
     """Final URL-seen set of the flagship crawl (the crawl-once DB
     contents; equivalence vs the simulator is asserted in tests —
     this exposes it as a driver-visible artifact)."""
-    import ray
-
-    from hepcrawl_ray.pipelines import crawl as cp
-
-    _, _, seeds, politeness = _crawl_tables(sf_dir)
-    actors = cp.start_frontier(politeness.to_pylist(), num_partitions=2)
-    workers = cp.acquire_pool(2, 2)
-    cp.offer_seeds(actors, seeds, 2, workers=workers)
-    ray.get([a.seal.remote() for a in actors])
-    ray.get([a.drain.remote(None) for a in actors])
-    hashes = np.concatenate(ray.get([a.seen_hashes.remote() for a in actors]))
-    cp.release_frontier(actors, workers)
+    hashes = np.concatenate(_crawl_schedule(sf_dir, 2, "seen_hashes")[1])
     return pa.table({"url_hash": np.sort(hashes)})
 
 
@@ -3016,7 +3004,7 @@ ORACLE_SQL.update({
     "corpus_drift_chi2": """
         WITH tok AS (
             SELECT source,
-                   unnest(regexp_split_to_array(trim(text), '\\s+'))
+                   unnest(regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'), '\\s+'))
                        AS term
             FROM documents
             WHERE source IN ('src0', 'src1') AND text IS NOT NULL),
@@ -3947,7 +3935,7 @@ def _langid_sql() -> str:
         branches.append("WHEN %s THEN '%s'" % (" AND ".join(conds), lang))
     return """
         WITH s AS (SELECT doc_id,
-                str_split_regex(lower(trim(text)), '\\s+') AS toks
+                str_split_regex(lower(trim(text, ' \t\n\x0b\f\r')), '\\s+') AS toks
             FROM documents),
         sc AS (SELECT doc_id,
                    %s
@@ -3967,14 +3955,14 @@ ORACLE_SQL.update({
     "text_quality_gate": f"""
         WITH s AS (
             SELECT doc_id,
-                   CASE WHEN trim(text) = '' THEN 0
-                        ELSE len(regexp_split_to_array(trim(text),
+                   CASE WHEN trim(text, ' \t\n\x0b\f\r') = '' THEN 0
+                        ELSE len(regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'),
                                                        '\\s+'))
                    END AS n_tokens,
                    length(regexp_replace(text, '\\s', '', 'g'))
                        AS chars_no_ws,
                    len(list_filter(
-                       regexp_split_to_array(lower(trim(text)),
+                       regexp_split_to_array(lower(trim(text, ' \t\n\x0b\f\r')),
                                              '\\s+'),
                        x -> x IN ('{_STOP_SQL}'))) AS n_stopwords
             FROM documents)
@@ -4072,8 +4060,8 @@ QUERIES.update({"text_bpe_tokens": q_text_bpe_tokens,
 ORACLE_SQL.update({
     "text_bpe_tokens": """
         SELECT doc_id,
-               CASE WHEN trim(text) = '' THEN 0
-                    ELSE len(regexp_split_to_array(trim(text), '\\s+'))
+               CASE WHEN trim(text, ' \t\n\x0b\f\r') = '' THEN 0
+                    ELSE len(regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'), '\\s+'))
                END AS n_ws_tokens,
                len(regexp_extract_all(text,
                    ' ?[A-Za-z]+| ?[0-9]+| ?[^A-Za-z0-9\\s]+|\\s+'))
@@ -4428,7 +4416,7 @@ QUERIES.update({"contamination_check": q_contamination_check,
 ORACLE_SQL.update({
     "contamination_check": """
         WITH toks AS (
-            SELECT doc_id, regexp_split_to_array(trim(text), '\\s+') AS t
+            SELECT doc_id, regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'), '\\s+') AS t
             FROM documents),
         sh AS (
             SELECT DISTINCT doc_id,
@@ -4449,7 +4437,7 @@ ORACLE_SQL.update({
     """,
     "text_repetition": """
         WITH toks AS (
-            SELECT doc_id, regexp_split_to_array(trim(text), '\\s+') AS t
+            SELECT doc_id, regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'), '\\s+') AS t
             FROM documents),
         bg AS (
             SELECT doc_id, t[i] || ' ' || t[i+1] AS b
@@ -4882,8 +4870,8 @@ QUERIES.update({"dedup_keep_canonical": q_dedup_keep_canonical,
 ORACLE_SQL.update({
     "dedup_keep_canonical": """
         WITH RECURSIVE toks AS (
-            SELECT doc_id, regexp_split_to_array(trim(text), '\\s+') AS t
-            FROM documents WHERE trim(text) <> ''),
+            SELECT doc_id, regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'), '\\s+') AS t
+            FROM documents WHERE trim(text, ' \t\n\x0b\f\r') <> ''),
         sh AS (
             SELECT DISTINCT doc_id, t[i] || ' ' || t[i+1] || ' ' || t[i+2] AS s
             FROM toks, UNNEST(range(1, len(t) - 1)) AS r(i)),
@@ -4917,8 +4905,8 @@ ORACLE_SQL.update({
     """,
     "dedup_paragraphs": """
         WITH toks AS (
-            SELECT doc_id, regexp_split_to_array(trim(text), '\\s+') AS t
-            FROM documents WHERE trim(text) <> ''),
+            SELECT doc_id, regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'), '\\s+') AS t
+            FROM documents WHERE trim(text, ' \t\n\x0b\f\r') <> ''),
         chunks AS (
             SELECT doc_id, CAST(i AS BIGINT) AS idx,
                    array_to_string(t[i*16+1 : (i+1)*16], ' ') AS chunk
@@ -4958,8 +4946,8 @@ ORACLE_SQL.update({
     "tfidf_top_terms": """
         WITH n AS (SELECT count(*) AS nn FROM documents),
         toks AS (
-            SELECT doc_id, regexp_split_to_array(trim(text), '\\s+') AS t
-            FROM documents WHERE trim(text) <> ''),
+            SELECT doc_id, regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'), '\\s+') AS t
+            FROM documents WHERE trim(text, ' \t\n\x0b\f\r') <> ''),
         terms AS (SELECT doc_id, unnest(t) AS term FROM toks),
         tf AS (SELECT doc_id, term, count(*) AS tf FROM terms
                GROUP BY doc_id, term),
@@ -6096,9 +6084,9 @@ ORACLE_SQL.update({
     "pack_sequences": """
         WITH t AS (
             SELECT doc_id,
-                   CAST(len(regexp_split_to_array(trim(text), '\\s+'))
+                   CAST(len(regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'), '\\s+'))
                         AS BIGINT) AS n_tokens
-            FROM documents WHERE trim(text) <> ''),
+            FROM documents WHERE trim(text, ' \t\n\x0b\f\r') <> ''),
         c AS (
             SELECT doc_id, n_tokens,
                    CAST(coalesce(sum(n_tokens) OVER (
@@ -6119,8 +6107,8 @@ ORACLE_SQL.update({
 ORACLE_SQL.update({
     "dedup_substring_coverage": """
         WITH toks AS (
-            SELECT doc_id, regexp_split_to_array(trim(text), '\\s+') AS t
-            FROM documents WHERE trim(text) <> ''),
+            SELECT doc_id, regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'), '\\s+') AS t
+            FROM documents WHERE trim(text, ' \t\n\x0b\f\r') <> ''),
         lens AS (SELECT doc_id, CAST(len(t) AS BIGINT) AS n FROM toks),
         grams AS (
             SELECT doc_id, CAST(i AS BIGINT) AS pos,
@@ -6418,9 +6406,9 @@ def _explode_terms(t: pa.Table, extra_cols=()) -> tuple:
     """Vectorized whitespace tokenization: Arrow RE2 split + flatten
     (no per-doc Python loop).  Returns (flat_terms, parent_row_idx)
     with empty terms removed — matches DuckDB's
-    ``unnest(regexp_split_to_array(trim(text), '\\s+'))`` modulo the
-    empty-string row a trimmed-empty doc produces (filtered on BOTH
-    sides)."""
+    ``unnest(regexp_split_to_array(trim(text, <whitespace>), '\\s+'))``
+    modulo the empty-string row a trimmed-empty doc produces (filtered
+    on BOTH sides)."""
     txt = pc.utf8_trim_whitespace(t.column("text").combine_chunks())
     lists = pc.split_pattern_regex(txt, pattern=r"\s+")
     flat = pc.list_flatten(lists)
@@ -7414,7 +7402,7 @@ ORACLE_SQL.update({
     "inverted_index": """
         WITH raw AS (
             SELECT doc_id,
-                   unnest(regexp_split_to_array(trim(text), '\\s+'))
+                   unnest(regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'), '\\s+'))
                        AS term
             FROM documents),
         toks AS (SELECT DISTINCT doc_id, term FROM raw
@@ -7428,7 +7416,7 @@ ORACLE_SQL.update({
     "dsir_importance": """
         WITH raw AS (
             SELECT doc_id, lang,
-                   unnest(regexp_split_to_array(trim(text), '\\s+'))
+                   unnest(regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'), '\\s+'))
                        AS term
             FROM documents),
         tok AS (SELECT * FROM raw WHERE term <> ''),
@@ -7568,8 +7556,8 @@ ORACLE_SQL.update({
     "bigram_collocations": """
         WITH toks AS (
             SELECT doc_id,
-                   regexp_split_to_array(trim(text), '\\s+') AS t
-            FROM documents WHERE trim(text) <> ''),
+                   regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'), '\\s+') AS t
+            FROM documents WHERE trim(text, ' \t\n\x0b\f\r') <> ''),
         un AS (SELECT term, count(*) AS n
                FROM (SELECT unnest(t) AS term FROM toks)
                GROUP BY term),
@@ -9359,7 +9347,7 @@ ORACLE_SQL.update({
     "tfidf_source_terms": """
         WITH raw AS (
             SELECT doc_id, source,
-                   unnest(regexp_split_to_array(trim(text), '\\s+'))
+                   unnest(regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'), '\\s+'))
                        AS term
             FROM documents),
         tok AS (SELECT * FROM raw WHERE term <> ''),
@@ -9507,7 +9495,7 @@ QUERIES.update({
 ORACLE_SQL.update({
     "dedup_containment": """
         WITH toks AS (
-            SELECT doc_id, regexp_split_to_array(trim(text), '\\s+') AS t
+            SELECT doc_id, regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'), '\\s+') AS t
             FROM documents),
         sh AS (
             SELECT DISTINCT doc_id,
@@ -9553,7 +9541,7 @@ ORACLE_SQL.update({
     "type_token_ratio": """
         WITH raw AS (
             SELECT doc_id,
-                   unnest(regexp_split_to_array(trim(text), '\\s+'))
+                   unnest(regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'), '\\s+'))
                        AS term
             FROM documents),
         tok AS (SELECT * FROM raw WHERE term <> '')
@@ -9869,7 +9857,7 @@ ORACLE_SQL.update({
     "source_term_overlap": """
         WITH raw AS (
             SELECT source,
-                   unnest(regexp_split_to_array(trim(text), '\\s+'))
+                   unnest(regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'), '\\s+'))
                        AS term
             FROM documents),
         tok AS (SELECT * FROM raw WHERE term <> ''),
@@ -11921,7 +11909,7 @@ ORACLE_SQL.update({
         WITH tok AS (
             SELECT doc_id, t
             FROM (SELECT doc_id,
-                         unnest(regexp_split_to_array(trim(text),
+                         unnest(regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'),
                                                       '\\s+')) AS t
                   FROM documents)
             WHERE t <> ''),
@@ -11938,7 +11926,7 @@ ORACLE_SQL.update({
         WITH tok AS (
             SELECT doc_id, t
             FROM (SELECT doc_id,
-                         unnest(regexp_split_to_array(trim(text),
+                         unnest(regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'),
                                                       '\\s+')) AS t
                   FROM documents)
             WHERE t <> ''),
@@ -11979,7 +11967,7 @@ ORACLE_SQL.update({
         WITH tok AS (
             SELECT source, t
             FROM (SELECT source,
-                         unnest(regexp_split_to_array(trim(text),
+                         unnest(regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'),
                                                       '\\s+')) AS t
                   FROM documents)
             WHERE t <> ''),
@@ -13454,8 +13442,8 @@ ORACLE_SQL.update({
     "skipgram_cooccurrence": """
         WITH toks AS (
             SELECT doc_id,
-                   regexp_split_to_array(trim(text), '\\s+') AS t
-            FROM documents WHERE trim(text) <> ''),
+                   regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'), '\\s+') AS t
+            FROM documents WHERE trim(text, ' \t\n\x0b\f\r') <> ''),
         pr AS (
             SELECT t[i] AS w_a, t[i + k] AS w_b, count(*) AS n_pair
             FROM toks,
@@ -15420,7 +15408,7 @@ ORACLE_SQL.update({
         WITH tok AS (
             SELECT doc_id, t
             FROM (SELECT doc_id,
-                         unnest(regexp_split_to_array(trim(text),
+                         unnest(regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'),
                                                       '\\s+')) AS t
                   FROM documents)
             WHERE t <> ''),
@@ -15499,10 +15487,10 @@ ORACLE_SQL.update({
         WITH tok AS (
             SELECT doc_id, t, pos
             FROM (SELECT doc_id,
-                         unnest(regexp_split_to_array(trim(text),
+                         unnest(regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'),
                                                       '\\s+')) AS t,
                          unnest(range(1,
-                             len(regexp_split_to_array(trim(text),
+                             len(regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'),
                                                        '\\s+')) + 1))
                              AS pos
                   FROM documents)
@@ -15524,12 +15512,12 @@ ORACLE_SQL.update({
     "token_budget_select": f"""
         WITH s AS (
             SELECT doc_id,
-                   CASE WHEN trim(text) = '' THEN 0
-                        ELSE len(regexp_split_to_array(trim(text),
+                   CASE WHEN trim(text, ' \t\n\x0b\f\r') = '' THEN 0
+                        ELSE len(regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'),
                                                        '\\s+'))
                    END AS n_tokens,
                    len(list_filter(
-                       regexp_split_to_array(lower(trim(text)),
+                       regexp_split_to_array(lower(trim(text, ' \t\n\x0b\f\r')),
                                              '\\s+'),
                        x -> x IN ('{_STOP_SQL}'))) AS n_stop
             FROM documents WHERE text IS NOT NULL),
@@ -16737,7 +16725,7 @@ ORACLE_SQL.update({
     """,
     "shingle_df_spectrum": """
         WITH toks AS (
-            SELECT doc_id, regexp_split_to_array(trim(text), '\\s+')
+            SELECT doc_id, regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'), '\\s+')
                        AS t
             FROM documents),
         sh AS (
@@ -17102,8 +17090,8 @@ ORACLE_SQL.update({
                 CASE WHEN substr(md5(text), 1, 1) < 'c' THEN 'train'
                      WHEN substr(md5(text), 1, 1) < 'e' THEN 'val'
                      ELSE 'test' END AS split,
-                CASE WHEN trim(text) = '' THEN 0
-                     ELSE len(regexp_split_to_array(trim(text),
+                CASE WHEN trim(text, ' \t\n\x0b\f\r') = '' THEN 0
+                     ELSE len(regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'),
                                                     '\\s+'))
                 END AS n_tokens
             FROM documents WHERE text IS NOT NULL)
@@ -17113,10 +17101,10 @@ ORACLE_SQL.update({
     """,
     "zipf_rank_freq": """
         WITH toks AS (
-            SELECT unnest(regexp_split_to_array(trim(text), '\\s+'))
+            SELECT unnest(regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'), '\\s+'))
                        AS tok
             FROM documents
-            WHERE text IS NOT NULL AND trim(text) <> ''),
+            WHERE text IS NOT NULL AND trim(text, ' \t\n\x0b\f\r') <> ''),
         c AS (SELECT tok, count(*) AS freq FROM toks GROUP BY tok)
         SELECT tok, CAST(freq AS BIGINT) AS freq,
                CAST(row_number() OVER (ORDER BY freq DESC, tok)
@@ -17131,8 +17119,8 @@ ORACLE_SQL.update({
     """,
     "source_mixture_rates": """
         WITH d AS (SELECT source,
-                CASE WHEN trim(text) = '' THEN 0
-                     ELSE len(regexp_split_to_array(trim(text),
+                CASE WHEN trim(text, ' \t\n\x0b\f\r') = '' THEN 0
+                     ELSE len(regexp_split_to_array(trim(text, ' \t\n\x0b\f\r'),
                                                     '\\s+'))
                 END AS n
             FROM documents WHERE text IS NOT NULL),

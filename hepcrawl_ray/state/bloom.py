@@ -92,12 +92,6 @@ class BloomFilter:
         word, mask = self._word_and_mask(keys)
         return (self.bits[word] & mask) == mask
 
-    def add(self, key: int) -> None:
-        self.add_many(np.array([key], dtype=np.int64))
-
-    def __contains__(self, key: int) -> bool:
-        return bool(self.contains_many(np.array([key], dtype=np.int64))[0])
-
     # -- serialization (checkpoint format) ---------------------------------
 
     def to_bytes(self) -> bytes:
@@ -114,10 +108,6 @@ class BloomFilter:
         import pickle
 
         d = pickle.loads(blob)
-        self = cls.__new__(cls)
-        self.capacity, self.fpr, self.count = d["capacity"], d["fpr"], d["count"]
-        self.bits = d["bits"]
-        self._mask = np.uint64(len(self.bits) - 1)
-        self.m_bits = len(self.bits) * 64
-        self.k = self.K
+        self = cls(d["capacity"], d["fpr"])
+        self.bits, self.count = d["bits"], d["count"]
         return self

@@ -150,14 +150,17 @@ def adv_dir(tmp_path_factory):
     # NULL text: real corpora carry null payload rows; SQL unnest of
     # a NULL split yields no token rows, and the engine must agree
     texts += [None]
+    # padded with tabs and line breaks: the engine trims all Unicode
+    # whitespace (utf8_trim_whitespace), DuckDB's trim() only spaces
+    texts += ["\t\n padded\ttab  words \r\n"]
     docs = pa.table({
         "doc_id": pa.array(np.arange(len(texts), dtype=np.int64)),
         "text": pa.array(texts, pa.string()),
         "lang": pa.array(["en", "en", "en", "en", "de", "fr", "en",
-                          "de", "en"] + ["en"] * 7 + ["en", "en"],
+                          "de", "en"] + ["en"] * 7 + ["en", "en", "en"],
                          pa.string()),
         "source": pa.array(["s1", "s1", "s1", "s2", "s1", "s2", "s2",
-                            "s2", "s1"] + ["s1"] * 7 + ["s2", "s2"],
+                            "s2", "s1"] + ["s1"] * 7 + ["s2", "s2", "s2"],
                            pa.string()),
         "n_chars": pa.array([len(t) if t is not None else 0
                              for t in texts], pa.int64()),

@@ -254,22 +254,23 @@ class TestParallelPool:
         slack (it rounds the row target up to whole virtual rounds, so
         a chunk can overshoot by at most one round of every queue's
         share, bounded here by the sum of all hosts' budgets)."""
+        import ray
+
         images, _, seeds, politeness = corpus
         batch_size = 8
         seen = []
-        real = cp.fetch_and_parse
+        real = cp._drain_rounds
 
-        def spy(admissions, *args, **kwargs):
-            seen.append(admissions)
-            return real(admissions, *args, **kwargs)
+        def spy(actors, target_rows):
+            for chunk in real(actors, target_rows):
+                seen.append(chunk[1])
+                yield chunk
 
-        monkeypatch.setattr(cp, "fetch_and_parse", spy)
+        monkeypatch.setattr(cp, "_drain_rounds", spy)
         out = cp.run_crawl(images, seeds, politeness, num_partitions=3,
                            salted_hosts=SALTED, width=2,
                            batch_size=batch_size)
-        blocks = [b for b in seen[0].iter_batches(batch_size=None,
-                                                  batch_format="pyarrow")
-                  if b.num_rows]
+        blocks = [b for b in ray.get(seen) if b.num_rows]
         slack = sum(politeness.column("max_concurrency").to_pylist())
         per_part = collections.Counter()
         for b in blocks:
@@ -306,6 +307,125 @@ class TestParallelPool:
         assert records.count() == 69 + 166
 
 
+class TestOneLoop:
+    """run_crawl's one drain->fetch loop serves both output modes."""
+
+    KW = dict(num_partitions=3, salted_hosts=SALTED, width=2)
+
+    def test_output_modes_agree(self, ray_session, corpus, tmp_path,
+                                monkeypatch):
+        """The same crawl with and without ``output_dir``: the records,
+        in block order, equal the chunk files row for row, and the
+        manifest lists exactly the slices of the chunks
+        ``drain_admissions_chunked`` gives for that input."""
+        import ray
+
+        from hepcrawl_ray.pipelines import sink
+
+        images, _, seeds, politeness = corpus
+        batch_size = 8
+        streamed = _records(cp.run_crawl(images, seeds, politeness,
+                                         batch_size=batch_size, **self.KW))
+        out = str(tmp_path / "out")
+        cp.run_crawl(images, seeds, politeness, batch_size=batch_size,
+                     output_dir=out, **self.KW)
+        # read_parquet yields its files in order only when asked to
+        monkeypatch.setattr(ray.data.DataContext.get_current()
+                            .execution_options, "preserve_order", True)
+        written = pa.concat_tables(sink.read_output(out).iter_batches(
+            batch_size=None, batch_format="pyarrow"))
+        assert written.num_rows == streamed.num_rows > 0
+        assert written.equals(streamed)
+
+        actors = cp.start_frontier(politeness, 3, SALTED)
+        try:
+            cp.offer_seeds(actors, seeds, 3, salted_hosts=SALTED)
+            ray.get([a.seal.remote() for a in actors])
+            adm = cp.drain_admissions_chunked(actors, batch_size)
+            blocks = ray.get([ref for bundle in adm.iter_internal_ref_bundles()
+                              for ref, _ in bundle.blocks])
+        finally:
+            cp.release_frontier(actors)
+        want, drains, pid, sliced = {}, collections.Counter(), None, 0
+        for b in blocks:
+            # blocks are partition-major, and a partition's first chunk
+            # is never empty: an empty one belongs to the block before
+            if b.num_rows:
+                pid = b.column("partition")[0].as_py()
+            k = max(1, round(b.num_rows / batch_size))
+            cuts = [b.num_rows * i // k for i in range(k + 1)]
+            for i, (s, e) in enumerate(zip(cuts, cuts[1:])):
+                if e > s:
+                    want.setdefault(str(pid), {})[
+                        f"chunk={drains[pid]:06d}-{i:03d}.parquet"] = e - s
+            drains[pid] += 1
+            sliced += k > 1
+        assert sorted(want) == ["0", "1", "2"]
+        assert sliced, "no drain chunk was cut into several slices"
+        assert sink.read_manifest(out)["partitions"] == want
+
+    def test_writes_in_flight_are_capped(self, ray_session, corpus,
+                                         wide_seeds, tmp_path,
+                                         monkeypatch):
+        """With ``output_dir``, no drain round starts while more than
+        ``WRITES_PER_ACTOR`` writes per pool actor are unfinished, and
+        the partitions drain side by side: some partition's first chunk
+        comes before partition 0's last."""
+        import sys
+
+        import ray
+
+        from hepcrawl_ray.pipelines import sink
+
+        images, _, _, politeness = corpus
+        events, order = [], []
+        real_wait, real_get, real_rounds = ray.wait, ray.get, \
+            cp._drain_rounds
+
+        def wait(refs, *args, **kwargs):
+            ready, rest = real_wait(refs, *args, **kwargs)
+            if sys._getframe(1).f_code.co_name == "settle":
+                # the unfinished writes after a collecting wait, or a
+                # wait that blocked on the cap
+                events.append(("unfinished", len(rest))
+                              if kwargs.get("timeout") == 0
+                              else ("capped", len(refs)))
+            return ready, rest
+
+        def get(refs, *args, **kwargs):
+            if sys._getframe(1).f_code.co_name == "_drain_rounds":
+                events.append(("round", None))
+            return real_get(refs, *args, **kwargs)
+
+        def rounds(actors, target_rows):
+            for chunk in real_rounds(actors, target_rows):
+                order.append(chunk[0])
+                yield chunk
+
+        monkeypatch.setattr(ray, "wait", wait)
+        monkeypatch.setattr(ray, "get", get)
+        monkeypatch.setattr(cp, "_drain_rounds", rounds)
+        out = str(tmp_path / "out")
+        cp.run_crawl(images, wide_seeds, politeness, batch_size=64,
+                     output_dir=out, **self.KW)
+        monkeypatch.undo()
+
+        cap = cp.WRITES_PER_ACTOR * self.KW["width"]
+        unfinished = 0
+        for kind, n in events:
+            if kind == "round":
+                assert unfinished <= cap
+            elif kind == "unfinished":
+                unfinished = n
+        assert any(kind == "capped" for kind, _ in events), \
+            "the writes never reached the cap"
+        assert sum(kind == "round" for kind, _ in events) > 2
+        first_other = min(i for i, p in enumerate(order) if p != 0)
+        assert first_other < max(i for i, p in enumerate(order) if p == 0)
+        assert sum(sum(listed.values()) for listed in sink.read_manifest(
+            out)["partitions"].values()) == wide_seeds.num_rows
+
+
 class TestDrainFaults:
     def test_dead_partition_fails_the_chunked_drain(self, ray_session,
                                                     corpus, monkeypatch):
@@ -327,8 +447,7 @@ class TestDrainFaults:
             return partitions
 
         def get(refs, *args, **kwargs):
-            if sys._getframe(1).f_code.co_name == \
-                    "drain_admissions_chunked":
+            if sys._getframe(1).f_code.co_name == "_drain_rounds":
                 rounds.append(1)
                 if len(rounds) == 2:
                     ray.kill(partitions[1])

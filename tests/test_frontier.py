@@ -485,7 +485,10 @@ class TestPriorities:
 
 class TestRobotsTxt:
     def test_parse_robots_txt(self):
-        from hepcrawl_ray.frontier import parse_robots_txt
+        from hepcrawl_ray.frontier import parse_robots_rules
+
+        def parse_robots_txt(body, user_agent="*"):
+            return parse_robots_rules(body, user_agent)[0]
 
         body = """
 # comment

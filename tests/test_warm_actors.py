@@ -645,9 +645,10 @@ class TestPoolFaults:
         waits = []
 
         def wait(refs, *args, **kwargs):
-            if sys._getframe(1).f_code.co_name == "_write_chunks":
+            # the driver's waits on the writes (pipelines.crawl._stream)
+            if sys._getframe(1).f_code.co_name == "settle":
                 waits.append(len(refs))
-                if len(waits) == 1:        # every chunk is queued
+                if len(waits) == 1:        # the first chunk is queued
                     ray.kill(pool_spy[-1][0])
             return real_wait(refs, *args, **kwargs)
 
